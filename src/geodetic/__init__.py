@@ -17,6 +17,7 @@ from geodetic.graph import (
     Graph,
     GraphError,
     GraphFormatError,
+    VerificationError,
     bfs_distances,
     connected_components,
     diameter,
@@ -53,6 +54,7 @@ __all__ = [
     "IlpResult",
     "ReductionResult",
     "SolveResult",
+    "VerificationError",
     "bfs_distances",
     "build_gadget",
     "canonical_solution",

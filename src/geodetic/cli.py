@@ -159,14 +159,15 @@ def cmd_verify(args) -> int:
     for v in chosen:
         if not 0 <= v < g.n:
             raise GraphError(f"vertex id {v} out of range for n={g.n}")
+    # the closure of a disconnected graph is the union of its components'
+    # closures; report the smallest uncovered vertex of the first component
+    # that has one
+    covered = interval_closure(g, chosen)
     for comp in connected_components(g):
-        sub, back = _induced(g, comp)
-        inside = [i for i, v in enumerate(back) if v in set(chosen)]
-        covered = interval_closure(sub, inside)
-        for i in range(sub.n):
-            if i not in covered:
+        for v in comp:
+            if v not in covered:
                 report.line("status", "not-geodetic")
-                report.line("uncovered", back[i])
+                report.line("uncovered", v)
                 return 1
     report.line("status", "geodetic")
     return 0

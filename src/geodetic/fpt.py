@@ -21,6 +21,7 @@ from geodetic.graph import (
     DisconnectedError,
     Graph,
     GraphError,
+    VerificationError,
     feedback_edge_number,
     is_connected,
     is_geodetic,
@@ -482,7 +483,8 @@ def _process_guess(
     solution = reconstruct(prep, applied, res.assignment, meta)
     graph, labels = applied.work.to_graph()
     index = {lab: j for j, lab in enumerate(labels)}
-    assert is_geodetic(graph, [index[v] for v in solution])
+    if not is_geodetic(graph, [index[v] for v in solution]):
+        raise VerificationError(f"reduced-graph solution {solution} is not geodetic")
     witness = lift_witness(applied.trace, solution)
     return "feasible", res.nodes, witness
 
@@ -558,7 +560,9 @@ def solve_fpt(
 
     ``k`` only affects the reported yes/no answer.  ``node_budget`` caps
     the search effort per guess; when it bites, the status degrades to
-    unknown instead of risking a wrong optimum.
+    unknown instead of risking a wrong optimum.  A witness that fails its
+    check, on the reduced graph or on ``g``, raises
+    :class:`~geodetic.graph.VerificationError`.
     """
     if g.n == 0:
         raise GraphError("empty graph has no geodetic set")
@@ -595,8 +599,12 @@ def solve_fpt(
         return SolveResult(UNKNOWN, None, None, answer, algorithm, stats)
     witness = lift_witness(red.trace, witness_r)
     optimum = size_r + red.k_decrease
-    assert len(witness) == optimum
-    assert is_geodetic(g, witness)
+    if len(witness) != optimum:
+        raise VerificationError(
+            f"lifted witness has {len(witness)} vertices, optimum is {optimum}"
+        )
+    if not is_geodetic(g, witness):
+        raise VerificationError(f"lifted witness {witness} is not geodetic")
     answer: bool | None = None
     if k is not None:
         if optimum <= k:

@@ -18,6 +18,7 @@ from geodetic.graph import (
     DisconnectedError,
     DistanceOracle,
     Graph,
+    VerificationError,
     interval_closure,
     is_connected,
 )
@@ -85,8 +86,7 @@ def min_geodetic_brute(
     n = g.n
     if n == 0:
         return OracleResult(OPTIMAL, 0, (), 0)
-    dist = DistanceOracle(g)
-    masks = pair_interval_masks(g, range(n), dist)
+    masks = pair_interval_masks(g, range(n))
     full = (1 << n) - 1
     forced = [v for v in range(n) if g.degree(v) == 1]
     free = [v for v in range(n) if g.degree(v) != 1]
@@ -152,7 +152,8 @@ def min_geodetic_brute(
             witness = search(extra)
             if witness is not None:
                 # independent set-based verification of the mask arithmetic
-                assert len(interval_closure(g, witness, dist)) == n
+                if len(interval_closure(g, witness)) != n:
+                    raise VerificationError(f"brute witness {witness} is not geodetic")
                 return OracleResult(OPTIMAL, size, witness, tested)
     except _BudgetExhausted:
         return OracleResult(BUDGET_EXHAUSTED, None, None, tested)

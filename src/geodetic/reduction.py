@@ -33,7 +33,14 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from geodetic.graph import INF, DisconnectedError, Graph, GraphError, is_geodetic
+from geodetic.graph import (
+    INF,
+    DisconnectedError,
+    Graph,
+    GraphError,
+    VerificationError,
+    is_geodetic,
+)
 
 
 class FenTooSmallError(GraphError):
@@ -574,7 +581,8 @@ def solve_fen1_optimum(work: MutableGraph) -> tuple[int, tuple[int, ...]]:
         size = len(witness)
     graph, labels = work.to_graph()
     index = {lab: i for i, lab in enumerate(labels)}
-    assert is_geodetic(graph, [index[v] for v in witness])
+    if not is_geodetic(graph, [index[v] for v in witness]):
+        raise VerificationError(f"cycle witness {sorted(witness)} is not geodetic")
     return size, tuple(sorted(witness))
 
 

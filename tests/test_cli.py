@@ -1,7 +1,7 @@
 """Tests for the command-line front end."""
 
 from geodetic.cli import main
-from geodetic.graph import feedback_edge_number, format_graph, parse_graph
+from geodetic.graph import Graph, feedback_edge_number, format_graph, parse_graph
 
 from conftest import complete_graph, cycle_graph, path_graph
 
@@ -78,6 +78,23 @@ def test_verify_accepts_and_rejects(tmp_path, capsys):
     code, out = run(capsys, ["verify", k4, str(bad)])
     assert code == 1
     assert "uncovered 3" in out
+
+
+def test_verify_disconnected_reports_first_component_in_order(tmp_path, capsys):
+    # components [0, 5, 6], [1, 2, 3], [4]: the first component's smallest
+    # uncovered vertex (5) is reported, not the global smallest (3)
+    g = Graph(7, [(0, 5), (5, 6), (1, 2), (2, 3)])
+    graph = write_graph(tmp_path, "split.graph", g)
+    bad = tmp_path / "bad.set"
+    bad.write_text("0 1 2 4\n")
+    code, out = run(capsys, ["verify", graph, str(bad)])
+    assert code == 1
+    assert "uncovered 5" in out
+    good = tmp_path / "good.set"
+    good.write_text("0 6\n1 3\n4\n")
+    code, out = run(capsys, ["verify", graph, str(good)])
+    assert code == 0
+    assert "status geodetic" in out
 
 
 def test_verify_out_of_range_is_an_error(tmp_path, capsys):

@@ -1,10 +1,17 @@
 """Tests for the guess-and-check exact solver."""
 
+import os
 import random
+import re
+import subprocess
+import sys
 from itertools import groupby
+from pathlib import Path
 
 import pytest
 
+import geodetic
+from geodetic import fpt
 from geodetic.fpt import (
     OPTIMAL,
     UNKNOWN,
@@ -17,7 +24,7 @@ from geodetic.fpt import (
     solve_fpt,
 )
 from geodetic.generators import random_fen_graph
-from geodetic.graph import DisconnectedError, Graph, is_geodetic
+from geodetic.graph import DisconnectedError, Graph, VerificationError, is_geodetic
 from geodetic.ilp import FEASIBLE, solve as solve_ilp
 from geodetic.oracle import min_geodetic_brute
 from geodetic.reduction import reduce_to_fixpoint
@@ -66,6 +73,64 @@ def test_complete_graph_goes_through_guessing():
     assert res.status == OPTIMAL
     assert res.optimum == 4
     assert is_geodetic(complete_graph(4), res.witness)
+
+
+# K4 with a pendant at 0: optimum 4, witness (1, 2, 3, 4), solved by guessing
+PENDANT_K4 = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 3)])
+CORRUPTIONS = {
+    "drop": lambda w: w[1:],
+    # same size, but the simplicial vertex 1 is left uncovered
+    "swap": lambda w: (0,) + w[1:],
+}
+# (fpt function whose result is corrupted, how, expected error message)
+CERTIFICATE_CASES = [
+    ("lift_witness", "drop", "lifted witness has 2 vertices, optimum is 4"),
+    ("lift_witness", "swap", r"lifted witness \(0, 2, 3, 4\) is not geodetic"),
+    ("reconstruct", "drop", "reduced-graph solution .* is not geodetic"),
+]
+
+
+def corrupted_solve_error(name: str, how: str) -> str | None:
+    """Message of the VerificationError raised by ``solve_fpt(PENDANT_K4)``
+    while ``fpt.<name>`` returns a corrupted result; None if none is raised."""
+    real = getattr(fpt, name)
+    setattr(fpt, name, lambda *args: CORRUPTIONS[how](real(*args)))
+    try:
+        solve_fpt(PENDANT_K4)
+    except VerificationError as exc:
+        return str(exc)
+    finally:
+        setattr(fpt, name, real)
+    return None
+
+
+@pytest.mark.parametrize("name,how,message", CERTIFICATE_CASES)
+def test_corrupted_witness_raises_verification_error(name, how, message):
+    assert solve_fpt(PENDANT_K4).witness == (1, 2, 3, 4)
+    error = corrupted_solve_error(name, how)
+    assert error is not None and re.fullmatch(message, error)
+
+
+def test_certificates_survive_python_optimize():
+    # asserts vanish under -O; the certificates must not
+    tests_dir = Path(__file__).resolve().parent
+    src_dir = Path(geodetic.__file__).resolve().parent.parent
+    script = (
+        "import re, sys, test_fpt\n"
+        "print(sys.flags.optimize, __debug__)\n"
+        "for name, how, message in test_fpt.CERTIFICATE_CASES:\n"
+        "    error = test_fpt.corrupted_solve_error(name, how)\n"
+        "    print(name, how, bool(error and re.fullmatch(message, error)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src_dir), str(tests_dir)]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "1 False"
+    assert lines[1:] == [f"{name} {how} True" for name, how, _ in CERTIFICATE_CASES]
 
 
 def test_theta_graph_optimum():

@@ -130,6 +130,43 @@ def test_interval_closure_skips_cross_component_pairs():
     assert interval_closure(g, [0, 2, 3]) == frozenset({0, 1, 2, 3})
 
 
+def _pairwise_closure(g: Graph, vertices: list[int]) -> frozenset[int]:
+    oracle = DistanceOracle(g)
+    closed = set(vertices)
+    for i, u in enumerate(vertices):
+        for v in vertices[i + 1 :]:
+            if oracle.distance(u, v) is not INF:
+                closed |= interval(g, oracle, u, v)
+    return frozenset(closed)
+
+
+def test_interval_closure_matches_pairwise_intervals():
+    rng = random.Random(20260301)
+    for trial in range(240):
+        n = rng.randrange(1, 41)
+        possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        if trial % 2:
+            # connected: a random tree plus a few chords
+            edges = {(rng.randrange(v), v) for v in range(1, n)}
+            extra = rng.randrange(0, min(len(possible), 2 * n) + 1)
+            edges.update(rng.sample(possible, k=extra))
+        else:
+            # usually disconnected: sparse random edges
+            edges = set(rng.sample(possible, k=rng.randrange(0, n + 1)))
+        g = Graph(n, edges)
+        # sizes run from the empty set to the whole vertex set
+        size = (0, n, rng.randrange(n + 1))[trial % 3]
+        chosen = rng.sample(range(n), k=size)
+        assert interval_closure(g, chosen) == _pairwise_closure(g, sorted(chosen))
+
+
+def test_interval_closure_rejects_out_of_range_vertex():
+    with pytest.raises(GraphError):
+        interval_closure(path_graph(3), [0, 3])
+    with pytest.raises(GraphError):
+        interval_closure(path_graph(3), [-1])
+
+
 def test_is_geodetic():
     g = cycle_graph(5)
     assert is_geodetic(g, [0, 2, 4])
