@@ -37,7 +37,7 @@ from geodetic.gridtiling import (
     random_yes_instance,
     solution_valid,
 )
-from geodetic.ilp import IlpModel, IlpResult, minimize, solve as solve_ilp
+from geodetic.ilp import IlpModel, IlpResult, solve as solve_ilp
 from geodetic.oracle import geodetic_number, min_geodetic_brute
 from geodetic.reduction import ReductionResult, lift_witness, reduce_to_fixpoint
 
@@ -71,7 +71,6 @@ __all__ = [
     "is_geodetic",
     "lift_witness",
     "min_geodetic_brute",
-    "minimize",
     "parse_graph",
     "random_instance",
     "random_no_instance",

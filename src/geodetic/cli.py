@@ -24,6 +24,7 @@ from geodetic.graph import (
     Graph,
     GraphError,
     GraphFormatError,
+    VerificationError,
     connected_components,
     diameter,
     feedback_edge_number,
@@ -81,7 +82,7 @@ def _solve_component(sub: Graph, algo: str, args) -> tuple[str, int | None, tupl
     if algo == "brute":
         res = min_geodetic_brute(sub)
         return OPTIMAL, res.size, res.witness, "brute"
-    res = solve_fpt(sub, threads=args.threads, node_budget=args.node_budget)
+    res = solve_fpt(sub, node_budget=args.node_budget)
     return res.status, res.optimum, res.witness, f"fpt:{res.algorithm}"
 
 
@@ -327,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run both algorithms and compare")
     p_solve.add_argument("--per-component", action="store_true",
                          help="split disconnected inputs and sum optima")
-    p_solve.add_argument("--threads", type=int, default=1)
     p_solve.add_argument("--node-budget", type=int, default=None)
     p_solve.add_argument("--deterministic", action="store_true",
                          help="byte-identical reports: omit timing")
@@ -375,7 +375,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GraphError, GraphFormatError, GridTilingError, GadgetError) as exc:
+    # a failed certificate is an error too: exit 1 would report a decision no
+    except (
+        GraphError, GraphFormatError, GridTilingError, GadgetError, VerificationError
+    ) as exc:
         print(f"error {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

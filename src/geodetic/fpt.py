@@ -13,9 +13,7 @@ feasible one realizes the optimum of the reduced graph.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
 
 from geodetic.graph import (
     DisconnectedError,
@@ -114,31 +112,6 @@ def prepare(work: MutableGraph, fed: FeedbackEdgeDecomposition) -> PreparedInsta
     dist = {b: work.bfs(b) for b in fed.branch_vertices}
     leaf_count = sum(1 for v in work.labels() if work.degree(v) == 1)
     return PreparedInstance(work, fed, open_branch, empties, dist, leaf_count)
-
-
-def enumerate_guesses(prep: PreparedInstance) -> Iterator[GuessContext]:
-    """Yield the full guess product exactly once, deterministically.
-
-    Branch subsets go up by size then numeric pattern; interior counts go
-    up by total then lexicographically.  Guesses that pick a branch vertex
-    next to an unleafed segment make that segment's count irrelevant; such
-    contexts are still yielded (the product is the contract) and the
-    solver deduplicates them by effective shape instead.
-    """
-    snapshot = tuple(p.leaf_positions for p in prep.fed.paths)
-    masks = sorted(
-        range(1 << len(prep.open_branch)), key=lambda m: (bin(m).count("1"), m)
-    )
-    assignments = sorted(
-        itertools.product((0, 1, 2), repeat=len(prep.empty_segments)),
-        key=lambda t: (sum(t), t),
-    )
-    for mask in masks:
-        chosen = tuple(v for b, v in enumerate(prep.open_branch) if mask >> b & 1)
-        for assign in assignments:
-            yield GuessContext(
-                chosen, tuple(zip(prep.empty_segments, assign)), snapshot
-            )
 
 
 def candidate_size(prep: PreparedInstance, ctx: GuessContext) -> int:
@@ -440,7 +413,14 @@ def _structurally_impossible(prep: PreparedInstance, applied: AppliedGuess) -> b
 
 
 def _effective_items(prep: PreparedInstance) -> list[tuple[int, int, GuessContext]]:
-    """Deduplicated guess list, sorted by candidate size then guess order."""
+    """Every guess once, sorted by candidate size then guess order.
+
+    Guess order takes branch subsets by size then numeric pattern, and
+    within a subset the interior counts by total then lexicographically.
+    A segment with a chosen endpoint gets no count: neither
+    :func:`apply_guess` nor :func:`candidate_size` would read it, so
+    guesses differing only there would be the same guess.
+    """
     snapshot = tuple(p.leaf_positions for p in prep.fed.paths)
     items: list[tuple[int, int, GuessContext]] = []
     seq = 0
@@ -490,7 +470,7 @@ def _process_guess(
 
 
 def _solve_guesses(
-    prep: PreparedInstance, threads: int, node_budget: int | None
+    prep: PreparedInstance, node_budget: int | None
 ) -> tuple[str, int | None, tuple[int, ...] | None, int | None, dict]:
     items = _effective_items(prep)
     best: int | None = None
@@ -498,44 +478,15 @@ def _solve_guesses(
     min_exhausted: int | None = None
     nodes_total = 0
     processed = 0
-
-    def absorb(size: int, outcome: tuple[str, int, tuple[int, ...] | None]) -> bool:
-        nonlocal best, best_witness, min_exhausted, nodes_total, processed
-        kind, nodes, witness = outcome
+    for size, _seq, ctx in items:
+        kind, nodes, witness = _process_guess(prep, ctx, node_budget)
         processed += 1
         nodes_total += nodes
         if kind == "exhausted":
-            min_exhausted = (
-                size if min_exhausted is None else min(min_exhausted, size)
-            )
+            min_exhausted = size if min_exhausted is None else min(min_exhausted, size)
         elif kind == "feasible":
             best, best_witness = size, witness
-            return True
-        return False
-
-    if threads <= 1:
-        for size, _seq, ctx in items:
-            if absorb(size, _process_guess(prep, ctx, node_budget)):
-                break
-    else:
-        # chunked so the outcome never depends on scheduling: a chunk is
-        # fully evaluated, then absorbed in guess order
-        chunk = max(4, 2 * threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            done = False
-            for start in range(0, len(items), chunk):
-                block = items[start : start + chunk]
-                outcomes = list(
-                    pool.map(
-                        lambda it: _process_guess(prep, it[2], node_budget), block
-                    )
-                )
-                for (size, _seq, _ctx), outcome in zip(block, outcomes):
-                    if absorb(size, outcome):
-                        done = True
-                        break
-                if done:
-                    break
+            break
     if best is None and min_exhausted is None:
         raise AssertionError("guess space exhausted without a feasible candidate")
     status = OPTIMAL
@@ -553,7 +504,6 @@ def solve_fpt(
     g: Graph,
     k: int | None = None,
     *,
-    threads: int = 1,
     node_budget: int | None = None,
 ) -> SolveResult:
     """Minimum geodetic set of a connected graph, with a verified witness.
@@ -588,9 +538,7 @@ def solve_fpt(
     else:
         algorithm = "guess-ilp"
         prep = prepare(red.graph, red.decomposition)
-        status, size_r, witness_r, lower, gstats = _solve_guesses(
-            prep, threads, node_budget
-        )
+        status, size_r, witness_r, lower, gstats = _solve_guesses(prep, node_budget)
         stats.update(gstats)
     if size_r is None:
         answer = None

@@ -31,7 +31,6 @@ from itertools import product
 
 from geodetic.graph import (
     Graph,
-    DistanceOracle,
     connected_components,
     diameter,
     interval_closure,
@@ -290,36 +289,32 @@ def exhaustive_no_check(gadget: GadgetGraph, budget: int = 10**4) -> bool:
     cells = [(i, j) for i in range(1, k + 1) for j in range(1, k + 1)]
     pend = sorted(gadget.pendants.values())
     tiles = sorted(gadget.tile_ids.values())
-    dist = DistanceOracle(g)
-    masks = pair_interval_masks(g, pend + tiles, dist)
+    masks = pair_interval_masks(g, pend + tiles)
     full = (1 << g.n) - 1
     base = 0
     for a in pend:
         for b in pend:
             if a <= b:
                 base |= masks[(a, b)]
-    pend_cross = {
-        u: base_or([masks[(min(u, p), max(u, p))] for p in pend]) for u in tiles
-    }
+    # what a tile covers with itself and the pendants, whatever else is chosen
+    own = {}
+    for u in tiles:
+        cover = masks[(u, u)]
+        for p in pend:
+            cover |= masks[(min(u, p), max(u, p))]
+        own[u] = cover
     per_cell = [
         [gadget.tile_ids[(i, j, eta)] for eta in range(1, n + 1)] for i, j in cells
     ]
     for combo in product(*per_cell):
         mask = base
         for idx, u in enumerate(combo):
-            mask |= masks[(u, u)] | pend_cross[u]
+            mask |= own[u]
             for v in combo[idx + 1 :]:
                 mask |= masks[(min(u, v), max(u, v))]
         if mask == full:
             return False
     return True
-
-
-def base_or(values: list[int]) -> int:
-    out = 0
-    for v in values:
-        out |= v
-    return out
 
 
 def format_registry(gadget: GadgetGraph) -> str:

@@ -7,6 +7,8 @@ reproducibility; nothing here touches the global RNG state.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
+from itertools import accumulate
 
 from geodetic.graph import Graph, GraphError
 
@@ -15,17 +17,29 @@ def random_fen_graph(n: int, fen: int, rng: random.Random) -> Graph:
     """Connected graph on n vertices with exactly ``fen`` independent cycles.
 
     Built as a random recursive tree plus ``fen`` extra edges drawn from the
-    complement.
+    complement, in O(n + fen log n): the complement is never listed.  Its
+    pairs (u, v), u < v, are numbered in lexicographic order, and each drawn
+    number is mapped back to its pair through the size of every row u.
     """
     if n < 1:
         raise GraphError("need at least one vertex")
-    edges = {(rng.randrange(i), i) for i in range(1, n)}
-    complement = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges
-    ]
-    if fen > len(complement):
+    children: list[list[int]] = [[] for _ in range(n)]
+    for i in range(1, n):
+        children[rng.randrange(i)].append(i)
+    # row u holds v = u+1..n-1 except u's tree children (ascending by build)
+    sizes = (n - 1 - u - len(children[u]) for u in range(n))
+    starts = list(accumulate(sizes, initial=0))
+    if fen > starts[-1]:
         raise GraphError(f"cannot add {fen} extra edges to a tree on {n} vertices")
-    edges.update(rng.sample(complement, k=fen))
+    edges = [(u, v) for u in range(n) for v in children[u]]
+    for index in rng.sample(range(starts[-1]), k=fen):
+        u = bisect_right(starts, index) - 1
+        v = u + 1 + index - starts[u]
+        for child in children[u]:
+            if child > v:
+                break
+            v += 1
+        edges.append((u, v))
     return Graph(n, sorted(edges))
 
 

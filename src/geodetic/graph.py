@@ -8,7 +8,6 @@ in downstream arithmetic.
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from math import inf
 from typing import Iterable, Iterator
@@ -109,24 +108,16 @@ def bfs_distances(g: Graph, source: int) -> list[int | float]:
 
 
 class DistanceOracle:
-    """Memoized per-source BFS rows for one graph.
-
-    Rows are computed lazily and cached; the cache is lock-protected so the
-    oracle can be shared by worker threads.
-    """
+    """Memoized per-source BFS rows for one graph, computed lazily."""
 
     def __init__(self, g: Graph):
         self.g = g
         self._rows: dict[int, tuple[int | float, ...]] = {}
-        self._lock = threading.Lock()
 
     def row(self, source: int) -> tuple[int | float, ...]:
-        with self._lock:
-            row = self._rows.get(source)
+        row = self._rows.get(source)
         if row is None:
-            row = tuple(bfs_distances(self.g, source))
-            with self._lock:
-                self._rows[source] = row
+            row = self._rows[source] = tuple(bfs_distances(self.g, source))
         return row
 
     def distance(self, u: int, v: int) -> int | float:

@@ -27,10 +27,6 @@ class Variable:
     lo: int
     hi: int
 
-    @property
-    def binary(self) -> bool:
-        return self.lo == 0 and self.hi == 1
-
 
 @dataclass(frozen=True)
 class Constraint:
@@ -45,7 +41,6 @@ class Constraint:
 class IlpModel:
     variables: list[Variable]
     constraints: list[Constraint]
-    objective: tuple[tuple[int, int], ...] | None = None
 
     def add_variable(self, lo: int, hi: int) -> int:
         if lo > hi:
@@ -70,7 +65,6 @@ class IlpResult:
     status: str
     assignment: dict[int, int] | None
     nodes: int
-    objective_value: int | None = None
 
 
 def _normalized(model: IlpModel) -> list[tuple[tuple[tuple[int, int], ...], int]]:
@@ -196,42 +190,3 @@ def solve(model: IlpModel, node_budget: int | None = None) -> IlpResult:
             else:
                 set_hi(v, mid)
             state = "descend" if propagate() else "branch"
-
-
-def minimize(model: IlpModel, node_budget: int | None = None) -> IlpResult:
-    """Minimize the model's objective by repeated feasibility with cuts."""
-    if model.objective is None:
-        raise IlpError("model has no objective")
-    total_nodes = 0
-    best: IlpResult | None = None
-    cuts: list[Constraint] = []
-    while True:
-        probe = IlpModel(model.variables, model.constraints + cuts)
-        remaining = None if node_budget is None else node_budget - total_nodes
-        result = solve(probe, node_budget=remaining)
-        total_nodes += result.nodes
-        if result.status == BUDGET_EXHAUSTED:
-            return IlpResult(BUDGET_EXHAUSTED, None, total_nodes)
-        if result.status == INFEASIBLE:
-            break
-        assert result.assignment is not None
-        value = sum(c * result.assignment[v] for v, c in model.objective)
-        best = IlpResult(FEASIBLE, result.assignment, total_nodes, value)
-        cuts = [Constraint(model.objective, "<=", value - 1)]
-    if best is None:
-        return IlpResult(INFEASIBLE, None, total_nodes)
-    return IlpResult(best.status, best.assignment, total_nodes, best.objective_value)
-
-
-def dump_model(model: IlpModel) -> str:
-    """Readable listing of variables and constraints, for debugging."""
-    out = []
-    for v in model.variables:
-        out.append(f"var x{v.id} in [{v.lo}, {v.hi}]")
-    for con in model.constraints:
-        terms = " + ".join(f"{c}*x{v}" for v, c in con.coeffs) or "0"
-        out.append(f"con {terms} {con.sense} {con.rhs}")
-    if model.objective is not None:
-        terms = " + ".join(f"{c}*x{v}" for v, c in model.objective)
-        out.append(f"min {terms}")
-    return "\n".join(out) + "\n"

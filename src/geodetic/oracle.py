@@ -10,8 +10,7 @@ between two other vertices passes through them, yet they must be covered.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from geodetic.graph import (
     INF,
@@ -36,16 +35,13 @@ class OracleResult:
     tested: int
 
 
-def pair_interval_masks(
-    g: Graph, vertices: Sequence[int], dist: DistanceOracle | None = None
-) -> dict[tuple[int, int], int]:
+def pair_interval_masks(g: Graph, vertices: Sequence[int]) -> dict[tuple[int, int], int]:
     """Bitmask of the shortest-path interval for each pair from ``vertices``.
 
     Keys are (u, v) with u <= v; the diagonal entry is the singleton bit.
     Only pairs in the same component get an entry.
     """
-    if dist is None:
-        dist = DistanceOracle(g)
+    dist = DistanceOracle(g)
     vs = sorted(set(vertices))
     rows = {v: dist.row(v) for v in vs}
     masks: dict[tuple[int, int], int] = {}
@@ -165,27 +161,3 @@ def geodetic_number(g: Graph) -> int:
     result = min_geodetic_brute(g)
     assert result.size is not None
     return result.size
-
-
-def forced_vertices(g: Graph) -> list[int]:
-    """Vertices of degree 1; they belong to every geodetic set."""
-    return [v for v in range(g.n) if g.degree(v) == 1]
-
-
-def count_geodetic_sets_of_size(g: Graph, size: int) -> int:
-    """Number of geodetic sets of exactly the given size (test helper)."""
-    if not is_connected(g):
-        raise DisconnectedError("count requires a connected graph")
-    dist = DistanceOracle(g)
-    masks = pair_interval_masks(g, range(g.n), dist)
-    full = (1 << g.n) - 1
-    count = 0
-    for combo in combinations(range(g.n), size):
-        mask = 0
-        for i, u in enumerate(combo):
-            mask |= masks[(u, u)]
-            for v in combo[i + 1 :]:
-                mask |= masks[(u, v)]
-        if mask == full:
-            count += 1
-    return count

@@ -584,8 +584,3 @@ def solve_fen1_optimum(work: MutableGraph) -> tuple[int, tuple[int, ...]]:
     if not is_geodetic(graph, [index[v] for v in witness]):
         raise VerificationError(f"cycle witness {sorted(witness)} is not geodetic")
     return size, tuple(sorted(witness))
-
-
-def leafed_positions(work: MutableGraph, vertices: Iterable[int]) -> tuple[int, ...]:
-    """Positions along a vertex sequence whose vertex carries a pendant leaf."""
-    return tuple(j for j, v in enumerate(vertices) if work.is_leafed(v))

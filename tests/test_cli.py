@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+from geodetic import fpt
 from geodetic.cli import main
 from geodetic.graph import Graph, feedback_edge_number, format_graph, parse_graph
 
@@ -49,6 +50,16 @@ def test_solve_threshold_answers(tmp_path, capsys):
     code, out = run(capsys, ["solve", path, "--k", "3", "--deterministic"])
     assert code == 1
     assert "answer no" in out
+
+
+def test_failed_certificate_is_an_error_not_a_no(tmp_path, capsys, monkeypatch):
+    real = fpt.lift_witness
+    monkeypatch.setattr(fpt, "lift_witness", lambda *args: real(*args)[1:])
+    path = write_graph(tmp_path, "c6.graph", cycle_graph(6))
+    code = main(["solve", path, "--algo", "fpt", "--k", "2", "--deterministic"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error lifted witness has 1 vertices, optimum is 2\n"
 
 
 def test_solve_disconnected_needs_flag(tmp_path, capsys):

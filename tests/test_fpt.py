@@ -5,7 +5,7 @@ import random
 import re
 import subprocess
 import sys
-from itertools import groupby
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -15,10 +15,10 @@ from geodetic import fpt
 from geodetic.fpt import (
     OPTIMAL,
     UNKNOWN,
+    _effective_items,
     apply_guess,
     candidate_size,
     emit_ilp,
-    enumerate_guesses,
     prepare,
     reconstruct,
     solve_fpt,
@@ -142,37 +142,62 @@ def test_theta_graph_optimum():
     assert is_geodetic(g, res.witness)
 
 
+def guesses(prep):
+    return [ctx for _size, _seq, ctx in _effective_items(prep)]
+
+
 def test_guess_count_is_full_product():
     _, prep = prepared(theta_graph((2, 2, 3)))
     assert len(prep.open_branch) == 2
     assert len(prep.empty_segments) == 3
-    raw = list(enumerate_guesses(prep))
-    assert len(raw) == 2**2 * 3**3
+    # the 2**2 * 3**3 = 108 raw (subset, counts) points, with the counts of
+    # segments next to a chosen branch vertex dropped, are the 30 guesses
+    shapes = set()
+    for mask, counts in product(range(4), product((0, 1, 2), repeat=3)):
+        chosen = tuple(v for b, v in enumerate(prep.open_branch) if mask >> b & 1)
+        kept = tuple(
+            (i, c)
+            for i, c in zip(prep.empty_segments, counts)
+            if prep.fed.paths[i].left not in chosen
+            and prep.fed.paths[i].right not in chosen
+        )
+        shapes.add((chosen, kept))
+    effective = [(ctx.chosen, ctx.interior_counts) for ctx in guesses(prep)]
+    assert len(effective) == len(set(effective)) == 30
+    assert set(effective) == shapes
 
 
 def test_guess_count_with_leafed_segment():
     # pendant on the long path leaves two unleafed segments and both
-    # branch vertices open: 4 subsets times 9 count patterns
+    # branch vertices open: 4 subsets times 9 count patterns, 12 of them
+    # distinct once a chosen endpoint drops its segment's count
     g = Graph(7, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 5), (5, 1), (4, 6)])
     _, prep = prepared(g)
     assert len(prep.open_branch) == 2
     assert len(prep.empty_segments) == 2
-    assert len(list(enumerate_guesses(prep))) == 36
+    assert len(guesses(prep)) == 12
 
 
 def test_guess_order_subsets_then_counts():
     _, prep = prepared(theta_graph((2, 2, 3)))
-    raw = list(enumerate_guesses(prep))
-    sizes = [len(c.chosen) for c in raw]
-    assert sizes == sorted(sizes)
-    for _, grp in groupby(raw, key=lambda c: c.chosen):
-        totals = [sum(n for _, n in c.interior_counts) for c in grp]
-        assert totals == sorted(totals)
+    items = _effective_items(prep)
+    keys = [(size, seq) for size, seq, _ctx in items]
+    assert keys == sorted(keys)
+    in_seq = [ctx for _size, _seq, ctx in sorted(items, key=lambda t: t[1])]
+    subsets = [len(ctx.chosen) for ctx in in_seq]
+    assert subsets == sorted(subsets)
+    for chosen in {ctx.chosen for ctx in in_seq}:
+        counts = [
+            tuple(n for _, n in ctx.interior_counts)
+            for _size, _seq, ctx in items
+            if ctx.chosen == chosen
+        ]
+        assert counts == sorted(counts, key=lambda t: (sum(t), t))
 
 
 def test_leafed_positions_stay_inside_snapshot_and_pins():
     _, prep = prepared(theta_graph((2, 2, 3)))
-    for ctx in enumerate_guesses(prep):
+    for ctx in guesses(prep):
         applied = apply_guess(prep, ctx)
         pinned = {
             e.info["support"]
@@ -187,7 +212,7 @@ def test_leafed_positions_stay_inside_snapshot_and_pins():
 
 def test_guess_leaves_do_not_change_branch_distances():
     _, prep = prepared(theta_graph((2, 3, 4)))
-    for ctx in list(enumerate_guesses(prep))[:12]:
+    for ctx in guesses(prep):
         applied = apply_guess(prep, ctx)
         for b in prep.fed.branch_vertices:
             after = applied.work.bfs(b)
@@ -197,7 +222,7 @@ def test_guess_leaves_do_not_change_branch_distances():
 
 def test_candidate_size_matches_reconstruction():
     _, prep = prepared(theta_graph((2, 3, 4)))
-    for ctx in enumerate_guesses(prep):
+    for ctx in guesses(prep):
         applied = apply_guess(prep, ctx)
         model, meta = emit_ilp(prep, applied)
         res = solve_ilp(model)
@@ -227,14 +252,6 @@ def test_matches_oracle_on_multihub_graphs(rng):
         oracle = min_geodetic_brute(g)
         res = solve_fpt(g)
         assert res.optimum == oracle.size, lengths
-
-
-def test_threads_do_not_change_the_result(rng):
-    for _ in range(15):
-        g = random_fen_graph(rng.randint(6, 16), rng.randint(2, 4), rng)
-        a = solve_fpt(g, threads=1)
-        b = solve_fpt(g, threads=3)
-        assert (a.status, a.optimum, a.witness) == (b.status, b.optimum, b.witness)
 
 
 def test_budget_exhaustion_degrades_to_unknown():

@@ -9,12 +9,8 @@ from geodetic.ilp import (
     BUDGET_EXHAUSTED,
     FEASIBLE,
     INFEASIBLE,
-    Constraint,
     IlpError,
     IlpModel,
-    IlpResult,
-    dump_model,
-    minimize,
     solve,
 )
 
@@ -174,68 +170,3 @@ def test_matches_brute_force(rng: random.Random):
             m.add_constraint(coeffs, sense, rng.randrange(-6, 11))
         got = solve(m)
         assert (got.status == FEASIBLE) == brute_force_feasible(m)
-
-
-def test_minimize():
-    m = fresh_model()
-    x = m.add_variable(0, 5)
-    y = m.add_variable(0, 5)
-    m.add_constraint([(x, 1), (y, 2)], ">=", 5)
-    m.objective = ((x, 1), (y, 1))
-    result = minimize(m)
-    assert result.status == FEASIBLE
-    assert result.objective_value == 3
-
-
-def test_minimize_infeasible():
-    m = fresh_model()
-    x = m.add_variable(0, 1)
-    m.add_constraint([(x, 1)], ">=", 2)
-    m.objective = ((x, 1),)
-    assert minimize(m).status == INFEASIBLE
-
-
-def test_minimize_requires_objective():
-    with pytest.raises(IlpError):
-        minimize(fresh_model())
-
-
-def test_minimize_matches_brute_force(rng: random.Random):
-    for _ in range(60):
-        m = fresh_model()
-        nvars = rng.randrange(1, 4)
-        for _ in range(nvars):
-            m.add_variable(0, rng.randrange(1, 5))
-        for _ in range(rng.randrange(1, 4)):
-            coeffs = [(v, rng.randrange(-2, 3)) for v in range(nvars)]
-            m.add_constraint(coeffs, rng.choice(["<=", ">="]), rng.randrange(-4, 7))
-        m.objective = tuple((v, rng.randrange(-2, 3)) for v in range(nvars))
-        got = minimize(m)
-        best = None
-        for values in product(*[range(v.lo, v.hi + 1) for v in m.variables]):
-            ok = all(
-                (sum(c * values[v] for v, c in con.coeffs) <= con.rhs)
-                if con.sense == "<="
-                else (sum(c * values[v] for v, c in con.coeffs) >= con.rhs)
-                for con in m.constraints
-            )
-            if ok:
-                value = sum(c * values[v] for v, c in m.objective)
-                best = value if best is None else min(best, value)
-        if best is None:
-            assert got.status == INFEASIBLE
-        else:
-            assert got.status == FEASIBLE
-            assert got.objective_value == best
-
-
-def test_dump_model():
-    m = fresh_model()
-    x = m.add_variable(0, 1)
-    y = m.add_variable(0, 3)
-    m.add_constraint([(x, 2), (y, -1)], "<=", 4)
-    m.objective = ((y, 1),)
-    text = dump_model(m)
-    assert "var x0 in [0, 1]" in text
-    assert "con 2*x0 + -1*x1 <= 4" in text
-    assert "min 1*x1" in text
