@@ -12,8 +12,10 @@ feasible one realizes the optimum of the reduced graph.
 
 from __future__ import annotations
 
+import heapq
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 
 from geodetic.graph import (
     DisconnectedError,
@@ -71,7 +73,11 @@ class GuessContext:
 
 @dataclass(frozen=True)
 class PreparedInstance:
-    """Fixpoint graph with everything the guess loop reads over and over."""
+    """Fixpoint graph with everything the guess loop reads over and over.
+
+    ``route_covers`` memoises :func:`route_cover` per ordered pair of
+    segment ends; it fills as guesses reach the pairs.
+    """
 
     work: MutableGraph
     fed: FeedbackEdgeDecomposition
@@ -79,6 +85,9 @@ class PreparedInstance:
     empty_segments: tuple[int, ...]
     dist: dict[int, dict[int, int]]
     leaf_count: int
+    route_covers: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = (
+        field(default_factory=dict)
+    )
 
 
 @dataclass
@@ -114,6 +123,29 @@ def prepare(work: MutableGraph, fed: FeedbackEdgeDecomposition) -> PreparedInsta
     return PreparedInstance(work, fed, open_branch, empties, dist, leaf_count)
 
 
+def _subset_shape(
+    prep: PreparedInstance, chosen: tuple[int, ...]
+) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Base size, counted segments and their count caps for a branch subset.
+
+    The base size is the candidate size with all counts zero: leaves,
+    chosen vertices and pinned segments (see :func:`candidate_size`).  A
+    segment with a chosen endpoint takes no count; any other unleafed
+    segment of length h can hold up to min(2, h - 1).
+    """
+    st = set(chosen)
+    base = prep.leaf_count + len(chosen)
+    free: list[int] = []
+    for i in prep.empty_segments:
+        p = prep.fed.paths[i]
+        if p.left in st or p.right in st:
+            if p.h > prep.dist[p.left][p.right]:
+                base += 1
+        else:
+            free.append(i)
+    return base, tuple(free), tuple(min(2, prep.fed.paths[i].h - 1) for i in free)
+
+
 def candidate_size(prep: PreparedInstance, ctx: GuessContext) -> int:
     """Size every feasible candidate of this guess must have.
 
@@ -122,18 +154,34 @@ def candidate_size(prep: PreparedInstance, ctx: GuessContext) -> int:
     with a chosen endpoint and an interior longer than the outside
     distance trades its one forced interior vertex for a pinned leaf.
     """
-    st = set(ctx.chosen)
-    counts = dict(ctx.interior_counts)
-    size = prep.leaf_count + len(ctx.chosen)
-    for p in prep.fed.paths:
-        if p.leaf_positions:
-            continue
-        if p.left in st or p.right in st:
-            if p.h > prep.dist[p.left][p.right]:
-                size += 1
-        else:
-            size += counts[p.index]
-    return size
+    base, _free, _caps = _subset_shape(prep, ctx.chosen)
+    return base + sum(c for _i, c in ctx.interior_counts)
+
+
+def route_cover(
+    prep: PreparedInstance, va: int, vb: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Empty segments (h >= 2) and open branch vertices on a shortest va-vb path.
+
+    A segment counts when it can be crossed end to end on such a path.
+    Both parts follow the order of ``prep.empty_segments`` and
+    ``prep.open_branch``.  Computed once per pair and kept in
+    ``prep.route_covers``.
+    """
+    cover = prep.route_covers.get((va, vb))
+    if cover is None:
+        paths = prep.fed.paths
+        row_a, row_b = prep.dist[va], prep.dist[vb]
+        d = row_a[vb]
+        segments = tuple(
+            i
+            for i in prep.empty_segments
+            if paths[i].h >= 2
+            and row_a[paths[i].left] + paths[i].h + row_b[paths[i].right] == d
+        )
+        vertices = tuple(v for v in prep.open_branch if row_a[v] + row_b[v] == d)
+        cover = prep.route_covers[(va, vb)] = (segments, vertices)
+    return cover
 
 
 def apply_guess(prep: PreparedInstance, ctx: GuessContext) -> AppliedGuess:
@@ -205,14 +253,17 @@ def emit_ilp(prep: PreparedInstance, applied: AppliedGuess) -> tuple[IlpModel, d
     anchors = [(i, r) for i in active for r in (0, 1)]
     model = IlpModel([], [])
 
-    def end_vertex(i: int, r: int) -> int:
-        return fed.paths[i].left if r == 0 else fed.paths[i].right
+    end: dict[tuple[int, int], int] = {}
+    for i in active:
+        end[(i, 0)], end[(i, 1)] = fed.paths[i].left, fed.paths[i].right
 
     z_cross = {}
+    cross_from: dict[tuple[int, int], list[int]] = {a: [] for a in anchors}
     for a in anchors:
         for b in anchors:
             if a[0] != b[0]:
-                z_cross[(a, b)] = model.add_variable(0, 1)
+                z_cross[(a, b)] = gate = model.add_variable(0, 1)
+                cross_from[a].append(gate)
     z_self = {a: model.add_variable(0, 1) for a in anchors}
     margin_ok = {a: model.add_variable(0, 1) for a in anchors}
     helper = {}
@@ -276,8 +327,8 @@ def emit_ilp(prep: PreparedInstance, applied: AppliedGuess) -> tuple[IlpModel, d
         ia, ra = a
         ib, rb = b
         ha, hb = fed.paths[ia].h, fed.paths[ib].h
-        va, wa = end_vertex(ia, ra), end_vertex(ia, 1 - ra)
-        vb, wb = end_vertex(ib, rb), end_vertex(ib, 1 - rb)
+        va, wa = end[a], end[(ia, 1 - ra)]
+        vb, wb = end[b], end[(ib, 1 - rb)]
         if (a, b) in helper:
             through = [offset(a), offset(b), ([], dist[va][vb])]
             detours = (
@@ -322,29 +373,20 @@ def emit_ilp(prep: PreparedInstance, applied: AppliedGuess) -> tuple[IlpModel, d
         for a, gate in z_self.items():
             yield a, (a[0], 1 - a[1]), gate
 
-    # every segment without solution vertices must lie on a claimed route
-    for i in sweep:
-        h = fed.paths[i].h
-        if h < 2:
-            continue
-        left, right = fed.paths[i].left, fed.paths[i].right
-        terms = []
-        for a, b, gate in ordered_pairs():
-            va, vb = end_vertex(*a), end_vertex(*b)
-            if dist[va][left] + h + dist[right][vb] == dist[va][vb]:
-                terms.append((gate, 1))
-        model.add_constraint(terms, ">=", 1)
-
-    # every unchosen open branch vertex must lie on a claimed route
+    # every segment without solution vertices, and every unchosen open
+    # branch vertex, must lie on a claimed route
     chosen = set(applied.ctx.chosen)
-    for v in prep.open_branch:
-        if v in chosen:
-            continue
-        terms = []
-        for a, b, gate in ordered_pairs():
-            va, vb = end_vertex(*a), end_vertex(*b)
-            if dist[va][v] + dist[v][vb] == dist[va][vb]:
-                terms.append((gate, 1))
+    segment_rows = {i: [] for i in sweep if fed.paths[i].h >= 2}
+    branch_rows = {v: [] for v in prep.open_branch if v not in chosen}
+    for a, b, gate in ordered_pairs():
+        segments, vertices = route_cover(prep, end[a], end[b])
+        for i in segments:
+            if i in segment_rows:
+                segment_rows[i].append((gate, 1))
+        for v in vertices:
+            if v in branch_rows:
+                branch_rows[v].append((gate, 1))
+    for terms in itertools.chain(segment_rows.values(), branch_rows.values()):
         model.add_constraint(terms, ">=", 1)
 
     # a placement deeper than one step from its segment end needs a claimed
@@ -357,7 +399,7 @@ def emit_ilp(prep: PreparedInstance, applied: AppliedGuess) -> tuple[IlpModel, d
         else:
             model.add_constraint([(placed[a], 1), (flag, big)], "<=", big + 1)
         terms = [(flag, 1)]
-        terms.extend((gate, 1) for (p, _q), gate in z_cross.items() if p == a)
+        terms.extend((gate, 1) for gate in cross_from[a])
         terms.append((z_self[a], 1))
         model.add_constraint(terms, ">=", 1)
 
@@ -402,57 +444,87 @@ def reconstruct(
     return tuple(sorted(solution))
 
 
-def _structurally_impossible(prep: PreparedInstance, applied: AppliedGuess) -> bool:
-    for i, cls in enumerate(applied.classes):
-        h = prep.fed.paths[i].h
-        if cls == SINGLE and h < 2:
-            return True
-        if cls == PAIR and h < 3:
-            return True
-    return False
+def _fill_right(
+    counts: list[int], caps: tuple[int, ...], start: int, total: int
+) -> None:
+    """Spread ``total`` over ``counts[start:]``, as far right as the caps allow."""
+    for j in range(len(counts) - 1, start - 1, -1):
+        counts[j] = min(caps[j], total)
+        total -= counts[j]
 
 
-def _effective_items(prep: PreparedInstance) -> list[tuple[int, int, GuessContext]]:
-    """Every guess once, sorted by candidate size then guess order.
+def _count_tuples(caps: tuple[int, ...], total: int) -> Iterator[tuple[int, ...]]:
+    """Every count tuple bounded by ``caps`` with sum ``total``, lexicographically.
+
+    ``total`` must not exceed ``sum(caps)``.  Each step moves one unit from
+    the suffix into the rightmost position that can still grow and packs
+    the rest of the suffix to the right again.
+    """
+    counts = [0] * len(caps)
+    _fill_right(counts, caps, 0, total)
+    while True:
+        yield tuple(counts)
+        tail = 0
+        for i in range(len(counts) - 1, -1, -1):
+            if tail and counts[i] < caps[i]:
+                counts[i] += 1
+                _fill_right(counts, caps, i + 1, tail - 1)
+                break
+            tail += counts[i]
+        else:
+            return
+
+
+def _effective_items(
+    prep: PreparedInstance,
+) -> Iterator[tuple[int, tuple, GuessContext]]:
+    """Every guess once, lazily, by candidate size then guess order.
 
     Guess order takes branch subsets by size then numeric pattern, and
-    within a subset the interior counts by total then lexicographically.
-    A segment with a chosen endpoint gets no count: neither
-    :func:`apply_guess` nor :func:`candidate_size` would read it, so
-    guesses differing only there would be the same guess.
+    within a subset the interior counts by total then lexicographically;
+    the yielded ``seq`` is that order's sort key.  A segment with a chosen
+    endpoint gets no count: neither :func:`apply_guess` nor
+    :func:`candidate_size` would read it, so guesses differing only there
+    would be the same guess.  A segment of length h gets only the counts
+    its h - 1 interior vertices can hold, at most two.
+
+    A subset fixes a base size (leaves, chosen vertices, pinned segments),
+    and each of its guesses adds its count total.  A heap keyed by
+    ``(size, subset size, pattern)`` holds one entry per subset, its next
+    count total; popping it yields that total's count tuples and pushes
+    the next total.  Subsets of size p enter the heap only when its
+    smallest size reaches ``leaf_count + p``, the least size any of them
+    can have, so memory stays bounded by the subsets opened so far.  An
+    entry keeps only the chosen vertices; the segments are worked out
+    again when it is popped.
     """
     snapshot = tuple(p.leaf_positions for p in prep.fed.paths)
-    items: list[tuple[int, int, GuessContext]] = []
-    seq = 0
-    masks = sorted(
-        range(1 << len(prep.open_branch)), key=lambda m: (bin(m).count("1"), m)
-    )
-    for mask in masks:
-        chosen = tuple(v for b, v in enumerate(prep.open_branch) if mask >> b & 1)
-        st = set(chosen)
-        free = [
-            i
-            for i in prep.empty_segments
-            if prep.fed.paths[i].left not in st
-            and prep.fed.paths[i].right not in st
-        ]
-        for assign in sorted(
-            itertools.product((0, 1, 2), repeat=len(free)),
-            key=lambda t: (sum(t), t),
-        ):
-            ctx = GuessContext(chosen, tuple(zip(free, assign)), snapshot)
-            items.append((candidate_size(prep, ctx), seq, ctx))
-            seq += 1
-    items.sort(key=lambda t: (t[0], t[1]))
-    return items
+    nb = len(prep.open_branch)
+    heap: list[tuple[int, int, int, int, tuple[int, ...]]] = []
+    layer = 0
+    while True:
+        while layer <= nb and (not heap or heap[0][0] >= prep.leaf_count + layer):
+            for bits in itertools.combinations(range(nb), layer):
+                chosen = tuple(prep.open_branch[b] for b in bits)
+                base, _free, _caps = _subset_shape(prep, chosen)
+                mask = sum(1 << b for b in bits)
+                heapq.heappush(heap, (base, layer, mask, 0, chosen))
+            layer += 1
+        if not heap:
+            return
+        size, popcount, mask, total, chosen = heapq.heappop(heap)
+        _base, free, caps = _subset_shape(prep, chosen)
+        for counts in _count_tuples(caps, total):
+            ctx = GuessContext(chosen, tuple(zip(free, counts)), snapshot)
+            yield candidate_size(prep, ctx), (popcount, mask, total, counts), ctx
+        if total < sum(caps):
+            heapq.heappush(heap, (size + 1, popcount, mask, total + 1, chosen))
 
 
 def _process_guess(
     prep: PreparedInstance, ctx: GuessContext, node_budget: int | None
 ) -> tuple[str, int, tuple[int, ...] | None]:
     applied = apply_guess(prep, ctx)
-    if _structurally_impossible(prep, applied):
-        return "infeasible", 0, None
     model, meta = emit_ilp(prep, applied)
     res = solve_ilp(model, node_budget=node_budget)
     if res.status == BUDGET_EXHAUSTED:
@@ -472,13 +544,12 @@ def _process_guess(
 def _solve_guesses(
     prep: PreparedInstance, node_budget: int | None
 ) -> tuple[str, int | None, tuple[int, ...] | None, int | None, dict]:
-    items = _effective_items(prep)
     best: int | None = None
     best_witness: tuple[int, ...] | None = None
     min_exhausted: int | None = None
     nodes_total = 0
     processed = 0
-    for size, _seq, ctx in items:
+    for size, _seq, ctx in _effective_items(prep):
         kind, nodes, witness = _process_guess(prep, ctx, node_budget)
         processed += 1
         nodes_total += nodes
@@ -493,7 +564,7 @@ def _solve_guesses(
     if best is None or (min_exhausted is not None and min_exhausted < best):
         status = UNKNOWN
     stats = {
-        "guesses_effective": len(items),
+        "guesses_generated": processed,
         "guesses_processed": processed,
         "ilp_nodes": nodes_total,
     }

@@ -9,6 +9,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import geodetic
 from geodetic import fpt
@@ -151,7 +152,9 @@ def test_guess_count_is_full_product():
     assert len(prep.open_branch) == 2
     assert len(prep.empty_segments) == 3
     # the 2**2 * 3**3 = 108 raw (subset, counts) points, with the counts of
-    # segments next to a chosen branch vertex dropped, are the 30 guesses
+    # segments next to a chosen branch vertex dropped, are 30 shapes; the 15
+    # guesses are those whose segments can hold their counts (1 needs
+    # h >= 2, 2 needs h >= 3)
     shapes = set()
     for mask, counts in product(range(4), product((0, 1, 2), repeat=3)):
         chosen = tuple(v for b, v in enumerate(prep.open_branch) if mask >> b & 1)
@@ -162,30 +165,38 @@ def test_guess_count_is_full_product():
             and prep.fed.paths[i].right not in chosen
         )
         shapes.add((chosen, kept))
+    assert len(shapes) == 30
+    holdable = {
+        (chosen, kept)
+        for chosen, kept in shapes
+        if all(c < prep.fed.paths[i].h for i, c in kept)
+    }
     effective = [(ctx.chosen, ctx.interior_counts) for ctx in guesses(prep)]
-    assert len(effective) == len(set(effective)) == 30
-    assert set(effective) == shapes
+    assert len(effective) == len(set(effective)) == 15
+    assert set(effective) == holdable
 
 
 def test_guess_count_with_leafed_segment():
     # pendant on the long path leaves two unleafed segments and both
     # branch vertices open: 4 subsets times 9 count patterns, 12 of them
-    # distinct once a chosen endpoint drops its segment's count
+    # distinct once a chosen endpoint drops its segment's count; both
+    # segments have length 2 and take no count of 2, which leaves 4 + 1 + 1 + 1
     g = Graph(7, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 5), (5, 1), (4, 6)])
     _, prep = prepared(g)
     assert len(prep.open_branch) == 2
     assert len(prep.empty_segments) == 2
-    assert len(guesses(prep)) == 12
+    assert len(guesses(prep)) == 7
 
 
 def test_guess_order_subsets_then_counts():
     _, prep = prepared(theta_graph((2, 2, 3)))
-    items = _effective_items(prep)
+    items = list(_effective_items(prep))
     keys = [(size, seq) for size, seq, _ctx in items]
     assert keys == sorted(keys)
     in_seq = [ctx for _size, _seq, ctx in sorted(items, key=lambda t: t[1])]
     subsets = [len(ctx.chosen) for ctx in in_seq]
     assert subsets == sorted(subsets)
+    assert len(set(subsets)) > 1
     for chosen in {ctx.chosen for ctx in in_seq}:
         counts = [
             tuple(n for _, n in ctx.interior_counts)
@@ -193,6 +204,20 @@ def test_guess_order_subsets_then_counts():
             if ctx.chosen == chosen
         ]
         assert counts == sorted(counts, key=lambda t: (sum(t), t))
+
+
+def test_guess_stream_is_lazy():
+    # a 40-rung ladder keeps 76 open branch vertices, so 2**76 subsets: the
+    # first guess must come without walking the subset space
+    rails = [(i, i + 1) for i in range(39)] + [(i, i + 1) for i in range(40, 79)]
+    rungs = [(i, i + 40) for i in range(40)]
+    _, prep = prepared(Graph(80, rails + rungs))
+    assert len(prep.open_branch) == 76
+    size, _seq, ctx = next(_effective_items(prep))
+    assert ctx.chosen == ()
+    assert len(ctx.interior_counts) == len(prep.empty_segments)
+    assert all(c == 0 for _i, c in ctx.interior_counts)
+    assert size == prep.leaf_count
 
 
 def test_leafed_positions_stay_inside_snapshot_and_pins():
@@ -252,6 +277,34 @@ def test_matches_oracle_on_multihub_graphs(rng):
         oracle = min_geodetic_brute(g)
         res = solve_fpt(g)
         assert res.optimum == oracle.size, lengths
+
+
+@st.composite
+def tree_plus_chords(draw):
+    """A random tree on n <= 18 vertices plus fen 5-9 chords."""
+    fen = draw(st.integers(5, 9))
+    n = 3
+    while (n - 1) * (n - 2) // 2 < fen:
+        n += 1
+    n = draw(st.integers(n, 18))
+    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    chords = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree]
+    picks = draw(
+        st.lists(
+            st.integers(0, len(chords) - 1), min_size=fen, max_size=fen, unique=True
+        )
+    )
+    return Graph(n, sorted(tree | {chords[i] for i in picks}))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(tree_plus_chords())
+def test_matches_oracle_at_fen_5_to_9(g):
+    oracle = min_geodetic_brute(g)
+    res = solve_fpt(g)
+    assert res.status == OPTIMAL
+    assert res.optimum == oracle.size
+    assert is_geodetic(g, res.witness)
 
 
 def test_budget_exhaustion_degrades_to_unknown():

@@ -1,0 +1,322 @@
+"""The lazy guess stream and the memoised ILP rows against the code they replaced.
+
+``eager_items`` is the guess list the solver used to build and sort in
+full (with the segment-by-segment ``reference_candidate_size``), and
+``pairwise_emit_ilp`` the model builder that rescanned every ordered anchor
+pair for each covered target.  They are kept here as the references for
+:func:`geodetic.fpt._effective_items`, :func:`geodetic.fpt.candidate_size`
+and :func:`geodetic.fpt.emit_ilp`.
+"""
+
+import itertools
+import random
+
+from geodetic.fpt import (
+    EMPTY,
+    LEAFED,
+    SINGLE,
+    GuessContext,
+    _effective_items,
+    apply_guess,
+    emit_ilp,
+    prepare,
+)
+from geodetic.generators import random_fen_graph
+from geodetic.graph import Graph
+from geodetic.ilp import FEASIBLE, IlpModel, solve as solve_ilp
+from geodetic.reduction import reduce_to_fixpoint
+
+
+def reference_candidate_size(prep, ctx):
+    """Reference: the candidate size summed segment by segment."""
+    st = set(ctx.chosen)
+    counts = dict(ctx.interior_counts)
+    size = prep.leaf_count + len(ctx.chosen)
+    for p in prep.fed.paths:
+        if p.leaf_positions:
+            continue
+        if p.left in st or p.right in st:
+            if p.h > prep.dist[p.left][p.right]:
+                size += 1
+        else:
+            size += counts[p.index]
+    return size
+
+
+def eager_items(prep):
+    """Reference: every guess built up front, sorted by (size, seq)."""
+    snapshot = tuple(p.leaf_positions for p in prep.fed.paths)
+    items = []
+    seq = 0
+    masks = sorted(
+        range(1 << len(prep.open_branch)), key=lambda m: (bin(m).count("1"), m)
+    )
+    for mask in masks:
+        chosen = tuple(v for b, v in enumerate(prep.open_branch) if mask >> b & 1)
+        st = set(chosen)
+        free = [
+            i
+            for i in prep.empty_segments
+            if prep.fed.paths[i].left not in st
+            and prep.fed.paths[i].right not in st
+        ]
+        for assign in sorted(
+            itertools.product((0, 1, 2), repeat=len(free)),
+            key=lambda t: (sum(t), t),
+        ):
+            ctx = GuessContext(chosen, tuple(zip(free, assign)), snapshot)
+            items.append((reference_candidate_size(prep, ctx), seq, ctx))
+            seq += 1
+    items.sort(key=lambda t: (t[0], t[1]))
+    return items
+
+
+def structurally_possible(prep, ctx):
+    """The rule the solver once applied after building a guess: a segment
+    of length h holds one interior vertex only if h >= 2, two only if h >= 3.
+    Counted segments are exactly those classed single or pair by the guess."""
+    return all(c < prep.fed.paths[i].h for i, c in ctx.interior_counts)
+
+
+def pairwise_emit_ilp(prep, applied):
+    """Reference: the model builder that rescans all anchor pairs per target."""
+    fed = prep.fed
+    dist = prep.dist
+    classes = applied.classes
+    big = 100 * applied.work.m
+    active = [i for i, c in enumerate(classes) if c != EMPTY]
+    sweep = [i for i, c in enumerate(classes) if c == EMPTY]
+    anchors = [(i, r) for i in active for r in (0, 1)]
+    model = IlpModel([], [])
+
+    def end_vertex(i, r):
+        return fed.paths[i].left if r == 0 else fed.paths[i].right
+
+    z_cross = {}
+    for a in anchors:
+        for b in anchors:
+            if a[0] != b[0]:
+                z_cross[(a, b)] = model.add_variable(0, 1)
+    z_self = {a: model.add_variable(0, 1) for a in anchors}
+    margin_ok = {a: model.add_variable(0, 1) for a in anchors}
+    helper = {}
+    for pair in z_cross:
+        if classes[pair[0][0]] != LEAFED or classes[pair[1][0]] != LEAFED:
+            helper[pair] = tuple(model.add_variable(0, 1) for _ in range(3))
+    fixed = {}
+    placed = {}
+    for i in active:
+        h = fed.paths[i].h
+        if classes[i] == LEAFED:
+            fixed[(i, 0)] = applied.leafed[i][0]
+            fixed[(i, 1)] = h - applied.leafed[i][-1]
+        else:
+            placed[(i, 0)] = model.add_variable(0, h)
+            placed[(i, 1)] = model.add_variable(0, h)
+
+    def offset(a):
+        if a in fixed:
+            return [], fixed[a]
+        return [(placed[a], 1)], 0
+
+    def neg(expr):
+        terms, const = expr
+        return [(v, -c) for v, c in terms], -const
+
+    def route_gap(gate, plus, minus):
+        terms = []
+        const = 0
+        for t, c in plus:
+            terms.extend(t)
+            const += c
+        for t, c in minus:
+            terms.extend((v, -k) for v, k in t)
+            const -= c
+        if terms:
+            model.add_constraint(terms + [(gate, big)], "<=", big - const)
+        elif const > 0:
+            model.add_constraint([(gate, 1)], "<=", 0)
+
+    for i in active:
+        if classes[i] == LEAFED:
+            continue
+        h = fed.paths[i].h
+        d = dist[fed.paths[i].left][fed.paths[i].right]
+        xl, xr = placed[(i, 0)], placed[(i, 1)]
+        model.add_constraint([(xl, 1)], ">=", 1)
+        model.add_constraint([(xr, 1)], ">=", 1)
+        if classes[i] == SINGLE:
+            model.add_constraint([(xl, 1), (xr, 1)], "<=", h)
+            model.add_constraint([(xl, 1), (xr, 1)], ">=", h)
+        else:
+            model.add_constraint([(xl, 1), (xr, 1)], "<=", h - 1)
+            model.add_constraint([(xl, -2), (xr, -2)], "<=", d - h)
+
+    for (a, b), gate in z_cross.items():
+        ia, ra = a
+        ib, rb = b
+        ha, hb = fed.paths[ia].h, fed.paths[ib].h
+        va, wa = end_vertex(ia, ra), end_vertex(ia, 1 - ra)
+        vb, wb = end_vertex(ib, rb), end_vertex(ib, 1 - rb)
+        if (a, b) in helper:
+            through = [offset(a), offset(b), ([], dist[va][vb])]
+            detours = (
+                [offset(a), neg(offset(b)), ([], dist[va][wb] + hb)],
+                [neg(offset(a)), offset(b), ([], dist[wa][vb] + ha)],
+                [neg(offset(a)), neg(offset(b)), ([], dist[wa][wb] + ha + hb)],
+            )
+            for flag, detour in zip(helper[(a, b)], detours):
+                route_gap(flag, through, detour)
+            f1, f2, f3 = helper[(a, b)]
+            model.add_constraint([(f1, 1), (f2, 1), (f3, 1), (gate, -3)], ">=", 0)
+        else:
+            xa, xb = fixed[a], fixed[b]
+            length = xa + dist[va][vb] + xb
+            alts = (
+                xa + dist[va][wb] + hb - xb,
+                ha - xa + dist[wa][vb] + xb,
+                ha - xa + dist[wa][wb] + hb - xb,
+            )
+            if length > min(alts):
+                model.add_constraint([(gate, 1)], "<=", 0)
+
+    for a, gate in z_self.items():
+        i, r = a
+        h = fed.paths[i].h
+        d = dist[fed.paths[i].left][fed.paths[i].right]
+        other = (i, 1 - r)
+        if a in fixed:
+            through = fixed[a] + d + fixed[other]
+            inside = h - fixed[a] - fixed[other]
+            if through > inside:
+                model.add_constraint([(gate, 1)], "<=", 0)
+        else:
+            xa, xo = placed[a], placed[other]
+            model.add_constraint([(xa, 2), (xo, 2), (gate, big)], "<=", big + h - d)
+
+    def ordered_pairs():
+        for (a, b), gate in z_cross.items():
+            yield a, b, gate
+        for a, gate in z_self.items():
+            yield a, (a[0], 1 - a[1]), gate
+
+    for i in sweep:
+        h = fed.paths[i].h
+        if h < 2:
+            continue
+        left, right = fed.paths[i].left, fed.paths[i].right
+        terms = []
+        for a, b, gate in ordered_pairs():
+            va, vb = end_vertex(*a), end_vertex(*b)
+            if dist[va][left] + h + dist[right][vb] == dist[va][vb]:
+                terms.append((gate, 1))
+        model.add_constraint(terms, ">=", 1)
+
+    chosen = set(applied.ctx.chosen)
+    for v in prep.open_branch:
+        if v in chosen:
+            continue
+        terms = []
+        for a, b, gate in ordered_pairs():
+            va, vb = end_vertex(*a), end_vertex(*b)
+            if dist[va][v] + dist[v][vb] == dist[va][vb]:
+                terms.append((gate, 1))
+        model.add_constraint(terms, ">=", 1)
+
+    for a in anchors:
+        flag = margin_ok[a]
+        if a in fixed:
+            if fixed[a] > 1:
+                model.add_constraint([(flag, 1)], "<=", 0)
+        else:
+            model.add_constraint([(placed[a], 1), (flag, big)], "<=", big + 1)
+        terms = [(flag, 1)]
+        terms.extend((gate, 1) for (p, _q), gate in z_cross.items() if p == a)
+        terms.append((z_self[a], 1))
+        model.add_constraint(terms, ">=", 1)
+
+    meta = {
+        "active": tuple(active),
+        "fixed": dict(fixed),
+        "placed": dict(placed),
+        "z_cross": dict(z_cross),
+        "z_self": dict(z_self),
+    }
+    return model, meta
+
+
+def seeded_kernels(seed, count, stretch):
+    """Prepared kernels of seeded random graphs with fen 2-7 that reach guessing.
+
+    With ``stretch`` > 0 each edge of a smaller draw is subdivided by up to
+    that many vertices, so that segments are long enough to hold counts.
+    """
+    draws = random.Random(seed)
+    kernels = []
+    while len(kernels) < count:
+        n = draws.randint(6, 22 if stretch == 0 else 12)
+        g = random_fen_graph(n, draws.randint(2, 7), draws)
+        if stretch:
+            edges, nxt = [], g.n
+            for u, v in g.edges():
+                for _ in range(draws.randint(0, stretch)):
+                    edges.append((u, nxt))
+                    u, nxt = nxt, nxt + 1
+                edges.append((min(u, v), max(u, v)))
+            g = Graph(nxt, edges)
+        red = reduce_to_fixpoint(g)
+        if red.decomposition is not None:
+            kernels.append(prepare(red.graph, red.decomposition))
+    return kernels
+
+
+def raw_guess_count(prep):
+    """Guesses the eager reference builds, before any were pruned."""
+    bit = {v: 1 << b for b, v in enumerate(prep.open_branch)}
+    touches = [
+        bit.get(prep.fed.paths[i].left, 0) | bit.get(prep.fed.paths[i].right, 0)
+        for i in prep.empty_segments
+    ]
+    return sum(
+        3 ** sum(1 for t in touches if not t & mask)
+        for mask in range(1 << len(prep.open_branch))
+    )
+
+
+def test_stream_matches_eager_reference():
+    # the reference builds every guess, so kernels stay below 20 000 raw guesses
+    kernels = [
+        prep
+        for prep in seeded_kernels(31, 200, 0) + seeded_kernels(33, 200, 2)
+        if raw_guess_count(prep) <= 20_000
+    ]
+    assert len(kernels) >= 300
+    yielded = pruned = 0
+    for prep in kernels:
+        eager = eager_items(prep)
+        kept = [t for t in eager if structurally_possible(prep, t[2])]
+        stream = list(_effective_items(prep))
+        assert [(size, ctx) for size, _seq, ctx in stream] == [
+            (size, ctx) for size, _seq, ctx in kept
+        ]
+        # seq sorts the stream into the reference's guess order
+        assert [t[2] for t in sorted(stream, key=lambda t: t[1])] == [
+            t[2] for t in sorted(kept, key=lambda t: t[1])
+        ]
+        yielded += len(stream)
+        pruned += len(eager) - len(kept)
+    assert yielded > 25_000 and pruned > 300_000
+
+
+def test_emit_ilp_matches_pairwise_reference():
+    # every guess the solver applies, up to the first feasible one
+    models = 0
+    for prep in seeded_kernels(32, 200, 0):
+        for _size, _seq, ctx in _effective_items(prep):
+            applied = apply_guess(prep, ctx)
+            model, meta = emit_ilp(prep, applied)
+            assert (model, meta) == pairwise_emit_ilp(prep, applied)
+            models += 1
+            if solve_ilp(model).status == FEASIBLE:
+                break
+    assert models > 2_000
