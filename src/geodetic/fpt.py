@@ -548,10 +548,10 @@ def _solve_guesses(
     best_witness: tuple[int, ...] | None = None
     min_exhausted: int | None = None
     nodes_total = 0
-    processed = 0
+    generated = 0
     for size, _seq, ctx in _effective_items(prep):
         kind, nodes, witness = _process_guess(prep, ctx, node_budget)
-        processed += 1
+        generated += 1
         nodes_total += nodes
         if kind == "exhausted":
             min_exhausted = size if min_exhausted is None else min(min_exhausted, size)
@@ -564,8 +564,7 @@ def _solve_guesses(
     if best is None or (min_exhausted is not None and min_exhausted < best):
         status = UNKNOWN
     stats = {
-        "guesses_generated": processed,
-        "guesses_processed": processed,
+        "guesses_generated": generated,
         "ilp_nodes": nodes_total,
     }
     return status, best, best_witness, min_exhausted, stats

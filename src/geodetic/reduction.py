@@ -30,8 +30,10 @@ Rules fire one application at a time, highest priority first:
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Set
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from heapq import heappop, heappush
+from typing import Iterable
 
 from geodetic.graph import (
     INF,
@@ -105,8 +107,9 @@ class MutableGraph:
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(self._adj[v]))
+    def neighbors(self, v: int) -> Set[int]:
+        """Live neighbour set of ``v``, unordered; sort it where order matters."""
+        return self._adj[v]
 
     def attach_leaf(self, support: int, label: int | None = None) -> int:
         leaf = self.add_vertex(label)
@@ -115,13 +118,10 @@ class MutableGraph:
 
     def leaf_of(self, v: int) -> int | None:
         """Smallest pendant leaf hanging off ``v``, or None."""
-        for u in self.neighbors(v):
-            if self.degree(u) == 1:
-                return u
-        return None
+        return min((u for u in self._adj[v] if len(self._adj[u]) == 1), default=None)
 
     def is_leafed(self, v: int) -> bool:
-        return self.leaf_of(v) is not None
+        return any(len(self._adj[u]) == 1 for u in self._adj[v])
 
     def bfs(self, source: int) -> dict[int, int]:
         """Distances to all reachable labels."""
@@ -241,7 +241,7 @@ def two_core(work: MutableGraph) -> set[int]:
                 deg[u] -= 1
                 if deg[u] <= 1:
                     queue.append(u)
-    return {v for v in work.labels() if v not in dead}
+    return {v for v in deg if v not in dead}
 
 
 def build_feg(work: MutableGraph) -> FeedbackEdgeDecomposition:
@@ -258,7 +258,7 @@ def build_feg(work: MutableGraph) -> FeedbackEdgeDecomposition:
     used: set[frozenset[int]] = set()
     paths: list[PathRecord] = []
     for b in branch:
-        for start in work.neighbors(b):
+        for start in sorted(work.neighbors(b)):
             if start not in core or frozenset((b, start)) in used:
                 continue
             verts = [b, start]
@@ -284,48 +284,148 @@ def build_feg(work: MutableGraph) -> FeedbackEdgeDecomposition:
     return FeedbackEdgeDecomposition(tuple(branch), tuple(paths))
 
 
-def apply_collapse(work: MutableGraph, trace: list[TraceEntry]) -> bool:
-    """Drop a leaf whose support has degree 2; the support takes its place."""
-    for u in work.labels():
-        if work.degree(u) != 1:
-            continue
-        (v,) = work.neighbors(u)
-        if work.degree(v) == 2:
-            work.remove_vertex(u)
-            trace.append(
-                TraceEntry("collapse", 0, (u,), (), {"leaf": u, "support": v})
-            )
-            return True
-    return False
+class RuleWorklist:
+    """Min-heaps of the labels where collapse or twin may apply.
+
+    ``collapse`` holds leaves and ``twin`` supports; ``leaves[s]`` holds the
+    pendant leaves of ``s``, so twin reads a support's two smallest leaves
+    without sorting its neighbourhood.  A heap may hold stale labels but
+    always holds every label its rule applies to: an entry is checked again
+    when popped and dropped if the rule no longer applies, and after each
+    edit :meth:`touch` queues whatever the edit can have enabled.  So the
+    smallest applicable label comes first, as in a scan of sorted labels.
+    """
+
+    def __init__(self, work: MutableGraph) -> None:
+        self.work = work
+        # ascending lists are already heaps
+        self.collapse = [v for v in work.labels() if work.degree(v) == 1]
+        self.leaves: dict[int, list[int]] = {}
+        for u in self.collapse:
+            (s,) = work.neighbors(u)
+            self.leaves.setdefault(s, []).append(u)
+        self.twin = sorted(s for s, heap in self.leaves.items() if len(heap) >= 2)
+
+    def touch(self, *labels: int) -> None:
+        """Queue the rules that an edit changing the degrees of ``labels``
+        can enable.
+
+        A new leaf may collapse and adds a leaf to its support, a support
+        may hold a second leaf, and a vertex now of degree 2 lets its leaves
+        collapse.  No other vertex can gain a rule, so each edit costs O(1)
+        pushes.
+        """
+        work = self.work
+        for v in labels:
+            d = work.degree(v)
+            if d == 1:
+                (s,) = work.neighbors(v)
+                heappush(self.collapse, v)
+                heappush(self.leaves.setdefault(s, []), v)
+                heappush(self.twin, s)
+            elif d >= 2:
+                heappush(self.twin, v)
+                if d == 2:
+                    for u in work.neighbors(v):
+                        if work.degree(u) == 1:
+                            heappush(self.collapse, u)
+
+    def pop_collapse(self) -> int | None:
+        """Smallest leaf whose support has degree 2, or None."""
+        work = self.work
+        while self.collapse:
+            u = heappop(self.collapse)
+            if work.has_vertex(u) and work.degree(u) == 1:
+                (v,) = work.neighbors(u)
+                if work.degree(v) == 2:
+                    return u
+        return None
+
+    def pop_twin(self) -> tuple[int, int, int] | None:
+        """Smallest support with two pendant leaves, with its two smallest
+        leaves (kept, then removed), or None."""
+        work = self.work
+        while self.twin:
+            s = heappop(self.twin)
+            heap = self.leaves.get(s, [])
+            found: list[int] = []
+            while heap and len(found) < 2:
+                u = heappop(heap)
+                if (
+                    u not in found
+                    and work.has_vertex(u)
+                    and work.degree(u) == 1
+                    and s in work.neighbors(u)
+                ):
+                    found.append(u)
+            if len(found) == 2:
+                heappush(heap, found[0])
+                return s, found[0], found[1]
+            for u in found:
+                heappush(heap, u)
+        return None
 
 
-def apply_twin(work: MutableGraph, trace: list[TraceEntry]) -> bool:
-    """Drop the second of two leaves sharing a support; optimum drops by 1."""
-    for v in work.labels():
-        leaves = [u for u in work.neighbors(v) if work.degree(u) == 1]
-        if len(leaves) >= 2:
-            kept, gone = leaves[0], leaves[1]
-            work.remove_vertex(gone)
-            trace.append(
-                TraceEntry(
-                    "twin", 1, (gone,), (), {"kept": kept, "removed": gone, "support": v}
-                )
-            )
-            return True
-    return False
+def apply_collapse(
+    work: MutableGraph,
+    trace: list[TraceEntry],
+    worklist: RuleWorklist | None = None,
+) -> bool:
+    """Drop the smallest leaf whose support has degree 2; the support takes
+    its place.  Without a ``worklist`` of ``work`` one is built here."""
+    if worklist is None:
+        worklist = RuleWorklist(work)
+    u = worklist.pop_collapse()
+    if u is None:
+        return False
+    (v,) = work.neighbors(u)
+    work.remove_vertex(u)
+    worklist.touch(v)
+    trace.append(TraceEntry("collapse", 0, (u,), (), {"leaf": u, "support": v}))
+    return True
+
+
+def apply_twin(
+    work: MutableGraph,
+    trace: list[TraceEntry],
+    worklist: RuleWorklist | None = None,
+) -> bool:
+    """At the smallest support with two pendant leaves, drop its second
+    smallest leaf; optimum drops by 1.  Without a ``worklist`` of ``work``
+    one is built here."""
+    if worklist is None:
+        worklist = RuleWorklist(work)
+    found = worklist.pop_twin()
+    if found is None:
+        return False
+    v, kept, gone = found
+    work.remove_vertex(gone)
+    worklist.touch(v)
+    trace.append(
+        TraceEntry(
+            "twin", 1, (gone,), (), {"kept": kept, "removed": gone, "support": v}
+        )
+    )
+    return True
 
 
 def apply_shortcut(
-    work: MutableGraph, fed: FeedbackEdgeDecomposition, trace: list[TraceEntry]
+    work: MutableGraph,
+    fed: FeedbackEdgeDecomposition,
+    trace: list[TraceEntry],
+    worklist: RuleWorklist | None = None,
 ) -> bool:
     """Pin the midpoint between consecutive leafed positions that a shortcut
-    elsewhere in the graph makes locally uncoverable."""
+    elsewhere in the graph makes locally uncoverable.  A given ``worklist``
+    learns of the edit."""
     for path in fed.paths:
         for l, l2 in zip(path.leaf_positions, path.leaf_positions[1:]):
             a, b = path.vertices[l], path.vertices[l2]
             if work.distance(a, b) < l2 - l:
                 mid = path.vertices[(l + l2) // 2]
                 leaf = work.attach_leaf(mid)
+                if worklist is not None:
+                    worklist.touch(mid, leaf)
                 trace.append(
                     TraceEntry(
                         "shortcut", 0, (), (leaf,), {"leaf": leaf, "support": mid}
@@ -336,10 +436,14 @@ def apply_shortcut(
 
 
 def apply_margin(
-    work: MutableGraph, fed: FeedbackEdgeDecomposition, trace: list[TraceEntry]
+    work: MutableGraph,
+    fed: FeedbackEdgeDecomposition,
+    trace: list[TraceEntry],
+    worklist: RuleWorklist | None = None,
 ) -> bool:
     """Pin a position near a segment end when the nearest leafed position
-    sits deeper than the end-to-end distance allows."""
+    sits deeper than the end-to-end distance allows.  A given ``worklist``
+    learns of the edit."""
     for path in fed.paths:
         if not path.leaf_positions:
             continue
@@ -353,6 +457,8 @@ def apply_margin(
             continue
         support = path.vertices[pos]
         leaf = work.attach_leaf(support)
+        if worklist is not None:
+            worklist.touch(support, leaf)
         trace.append(
             TraceEntry("margin", 0, (), (leaf,), {"leaf": leaf, "support": support})
         )
@@ -361,14 +467,19 @@ def apply_margin(
 
 
 def apply_loop_prune(
-    work: MutableGraph, fed: FeedbackEdgeDecomposition, trace: list[TraceEntry]
+    work: MutableGraph,
+    fed: FeedbackEdgeDecomposition,
+    trace: list[TraceEntry],
+    worklist: RuleWorklist | None = None,
 ) -> bool:
     """Remove a loop at a branch vertex together with its pendant leaves.
 
     Only valid when the rest of the graph still contains a cycle, which the
     caller guarantees by checking the feedback edge number first.  The
     optimum drops by one less than the number of leafed vertices on the
-    loop; a bare odd loop costs one extra.
+    loop; a bare odd loop costs one extra.  A given ``worklist`` learns of
+    the edit; the branch vertex is the only survivor whose degree changes,
+    since collapse and twin have left one leaf at most per loop vertex.
     """
     for path in fed.paths:
         if not path.is_loop:
@@ -392,13 +503,16 @@ def apply_loop_prune(
             work.remove_vertex(path.vertices[pos])
             removed.append(path.vertices[pos])
         new_leaf = None if had_leaf else work.attach_leaf(v)
+        added = () if new_leaf is None else (new_leaf,)
+        if worklist is not None:
+            worklist.touch(v, *added)
         dk = (h % 2) if t == 0 else t - 1
         trace.append(
             TraceEntry(
                 "loop-prune",
                 dk,
                 tuple(removed),
-                () if new_leaf is None else (new_leaf,),
+                added,
                 {
                     "attach": v,
                     "had_leaf": had_leaf,
@@ -426,31 +540,37 @@ def reduce_to_fixpoint(g: Graph) -> ReductionResult:
     """Run all rules to exhaustion on a connected graph.
 
     Stops early (without a decomposition) once fewer than two independent
-    cycles remain; those instances are closed-form territory.
+    cycles remain; those instances are closed-form territory.  Collapse and
+    twin come from a :class:`RuleWorklist`, so each costs O(log n); only
+    the rarer segment rules rebuild the decomposition.
     """
     if g.n == 0:
         raise GraphError("cannot reduce the empty graph")
     work = MutableGraph.from_graph(g)
     if work.component_count() != 1:
         raise DisconnectedError("reduction requires a connected graph")
+    # every rule keeps the graph connected and only loop-prune drops a cycle
+    fen = g.m - g.n + 1
+    worklist = RuleWorklist(work)
     trace: list[TraceEntry] = []
     fed: FeedbackEdgeDecomposition | None = None
     # each application shrinks (vertex count + 2 * unleafed non-leaf count)
     limit = 3 * g.n + 5
     for _ in range(limit):
-        if apply_collapse(work, trace):
+        if apply_collapse(work, trace, worklist):
             continue
-        if apply_twin(work, trace):
+        if apply_twin(work, trace, worklist):
             continue
-        if work.feedback_edge_number() < 2:
+        if fen < 2:
             fed = None
             break
         fed = build_feg(work)
-        if apply_shortcut(work, fed, trace):
+        if apply_shortcut(work, fed, trace, worklist):
             continue
-        if apply_margin(work, fed, trace):
+        if apply_margin(work, fed, trace, worklist):
             continue
-        if apply_loop_prune(work, fed, trace):
+        if apply_loop_prune(work, fed, trace, worklist):
+            fen -= 1
             continue
         break
     else:  # pragma: no cover - the potential argument rules this out

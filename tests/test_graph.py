@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -142,6 +143,7 @@ def _pairwise_closure(g: Graph, vertices: list[int]) -> frozenset[int]:
 
 def test_interval_closure_matches_pairwise_intervals():
     rng = random.Random(20260301)
+    verdicts = Counter()
     for trial in range(240):
         n = rng.randrange(1, 41)
         possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -157,7 +159,16 @@ def test_interval_closure_matches_pairwise_intervals():
         # sizes run from the empty set to the whole vertex set
         size = (0, n, rng.randrange(n + 1))[trial % 3]
         chosen = rng.sample(range(n), k=size)
-        assert interval_closure(g, chosen) == _pairwise_closure(g, sorted(chosen))
+        want = _pairwise_closure(g, sorted(chosen))
+        assert interval_closure(g, chosen) == want
+        if trial % 2:
+            # the early-exit check must agree on sets that fail, too
+            for subset in (chosen, range(1, n)):
+                want = _pairwise_closure(g, sorted(subset))
+                verdict = is_geodetic(g, subset)
+                assert verdict == (len(want) == n)
+                verdicts[verdict, len(subset) == n] += 1
+    assert verdicts[False, False] >= 50 and verdicts[True, False] >= 50
 
 
 def test_interval_closure_rejects_out_of_range_vertex():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from geodetic import reduction
 from geodetic.generators import cycle_with_leaves, random_fen_graph
 from geodetic.graph import (
     DisconnectedError,
@@ -375,3 +376,82 @@ def test_fen1_oversized_gap_costs_one_extra():
     size, witness = solve_fen1_optimum(MutableGraph.from_graph(g))
     assert size == 3
     assert set(witness) >= {8, 9}
+
+
+class _ScanBudgetExceeded(Exception):
+    pass
+
+
+class _CountingLabels(dict):
+    """Adjacency dict of a working graph that counts full passes over its labels."""
+
+    budget = 200
+
+    def __init__(self, data) -> None:
+        super().__init__(data)
+        self.scans = 0
+
+    def _scan(self) -> None:
+        self.scans += 1
+        if self.scans > self.budget:  # a quadratic driver: stop it early
+            raise _ScanBudgetExceeded
+
+    def __iter__(self):
+        self._scan()
+        return super().__iter__()
+
+    def keys(self):
+        self._scan()
+        return super().keys()
+
+    def values(self):
+        self._scan()
+        return super().values()
+
+    def items(self):
+        self._scan()
+        return super().items()
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph(20001, [(0, v) for v in range(1, 20001)]),
+        random_fen_graph(20000, 4, random.Random(2026)),
+        random_fen_graph(20000, 6, random.Random(7)),
+    ],
+    ids=["star-20000", "near-tree-fen4", "near-tree-fen6"],
+)
+def test_reduction_work_is_near_linear(monkeypatch, g: Graph):
+    """Counts, not clock time: heap pushes stay linear in n plus the trace,
+    and full label scans come only from the segment rules."""
+    graphs: list[_CountingLabels] = []
+    from_graph = MutableGraph.from_graph.__func__
+
+    def counting_from_graph(cls, h):
+        work = from_graph(cls, h)
+        work._adj = _CountingLabels(work._adj)
+        graphs.append(work._adj)
+        return work
+
+    pushes = 0
+    heappush = reduction.heappush
+
+    def counting_heappush(heap, item):
+        nonlocal pushes
+        pushes += 1
+        heappush(heap, item)
+
+    monkeypatch.setattr(MutableGraph, "from_graph", classmethod(counting_from_graph))
+    monkeypatch.setattr(reduction, "heappush", counting_heappush)
+    try:
+        result = reduce_to_fixpoint(g)
+    except _ScanBudgetExceeded:
+        pytest.fail(f"more than {_CountingLabels.budget} full label scans")
+    (labels,) = graphs
+    segment_steps = sum(
+        entry.rule in ("shortcut", "margin", "loop-prune") for entry in result.trace
+    )
+    assert labels.scans <= segment_steps + 4
+    assert pushes <= 3 * (g.n + len(result.trace))
+    assert len(result.trace) >= g.n - 200
