@@ -166,16 +166,16 @@ def interval(g: Graph, dist: DistanceOracle, u: int, v: int) -> frozenset[int]:
     return frozenset(w for w in range(g.n) if du[w] + dv[w] == duv)
 
 
-def _coverage(g: Graph, vertices: Iterable[int], stop_when_full: bool) -> bytearray:
-    """Marks of the vertices on a shortest path between two of ``vertices``.
+def interval_closure(g: Graph, vertices: Iterable[int]) -> frozenset[int]:
+    """Union of intervals over all vertex pairs drawn from ``vertices``.
 
     Pairs in different components contribute nothing.  One BFS per source u
     gives the distances and the visiting order; sweeping that order
     backwards from the members marks every vertex on a shortest path from u
     to some member, since a marked vertex passes its mark to each neighbour
     one step closer to u.  Cost O(|S|·m) time and O(n) memory per source.
-    Coverage only grows, so with ``stop_when_full`` the sweeps stop once no
-    vertex is left uncovered.
+    Coverage only grows, so the sweeps stop once no vertex is left
+    uncovered.
     """
     vs = sorted(set(vertices))
     for v in vs:
@@ -188,7 +188,7 @@ def _coverage(g: Graph, vertices: Iterable[int], stop_when_full: bool) -> bytear
     covered = bytearray(member)
     uncovered = g.n - len(vs)
     for u in vs:
-        if stop_when_full and uncovered == 0:
+        if uncovered == 0:
             break
         dist = [-1] * g.n
         dist[u] = 0
@@ -209,25 +209,19 @@ def _coverage(g: Graph, vertices: Iterable[int], stop_when_full: bool) -> bytear
                 for x in adj[w]:
                     if dist[x] == closer:
                         marked[x] = 1
-    return covered
-
-
-def interval_closure(g: Graph, vertices: Iterable[int]) -> frozenset[int]:
-    """Union of intervals over all vertex pairs drawn from ``vertices``."""
-    covered = _coverage(g, vertices, stop_when_full=False)
     return frozenset(v for v in range(g.n) if covered[v])
 
 
 def is_geodetic(g: Graph, vertices: Iterable[int]) -> bool:
     """True iff the pairwise intervals of ``vertices`` cover every vertex.
 
-    Stops sweeping as soon as every vertex is covered, so accepting a
-    geodetic set usually takes a few of its sources; a rejection still
-    sweeps them all.
+    The closure stops sweeping as soon as every vertex is covered, so
+    accepting a geodetic set usually takes a few of its sources; a
+    rejection still sweeps them all.
     """
     if not is_connected(g):
         raise DisconnectedError("geodetic test requires a connected graph")
-    return all(_coverage(g, vertices, stop_when_full=True))
+    return len(interval_closure(g, vertices)) == g.n
 
 
 def diameter(g: Graph) -> int:

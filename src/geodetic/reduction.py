@@ -292,8 +292,10 @@ class RuleWorklist:
     without sorting its neighbourhood.  A heap may hold stale labels but
     always holds every label its rule applies to: an entry is checked again
     when popped and dropped if the rule no longer applies, and after each
-    edit :meth:`touch` queues whatever the edit can have enabled.  So the
-    smallest applicable label comes first, as in a scan of sorted labels.
+    collapse or twin :meth:`touch` queues whatever the edit can have
+    enabled.  The other rules edit the graph rarely, so the driver builds a
+    fresh worklist after them.  So the smallest applicable label comes
+    first, as in a scan of sorted labels.
     """
 
     def __init__(self, work: MutableGraph) -> None:
@@ -367,14 +369,10 @@ class RuleWorklist:
 
 
 def apply_collapse(
-    work: MutableGraph,
-    trace: list[TraceEntry],
-    worklist: RuleWorklist | None = None,
+    work: MutableGraph, trace: list[TraceEntry], worklist: RuleWorklist
 ) -> bool:
     """Drop the smallest leaf whose support has degree 2; the support takes
-    its place.  Without a ``worklist`` of ``work`` one is built here."""
-    if worklist is None:
-        worklist = RuleWorklist(work)
+    its place."""
     u = worklist.pop_collapse()
     if u is None:
         return False
@@ -386,15 +384,10 @@ def apply_collapse(
 
 
 def apply_twin(
-    work: MutableGraph,
-    trace: list[TraceEntry],
-    worklist: RuleWorklist | None = None,
+    work: MutableGraph, trace: list[TraceEntry], worklist: RuleWorklist
 ) -> bool:
     """At the smallest support with two pendant leaves, drop its second
-    smallest leaf; optimum drops by 1.  Without a ``worklist`` of ``work``
-    one is built here."""
-    if worklist is None:
-        worklist = RuleWorklist(work)
+    smallest leaf; optimum drops by 1."""
     found = worklist.pop_twin()
     if found is None:
         return False
@@ -410,22 +403,16 @@ def apply_twin(
 
 
 def apply_shortcut(
-    work: MutableGraph,
-    fed: FeedbackEdgeDecomposition,
-    trace: list[TraceEntry],
-    worklist: RuleWorklist | None = None,
+    work: MutableGraph, fed: FeedbackEdgeDecomposition, trace: list[TraceEntry]
 ) -> bool:
     """Pin the midpoint between consecutive leafed positions that a shortcut
-    elsewhere in the graph makes locally uncoverable.  A given ``worklist``
-    learns of the edit."""
+    elsewhere in the graph makes locally uncoverable."""
     for path in fed.paths:
         for l, l2 in zip(path.leaf_positions, path.leaf_positions[1:]):
             a, b = path.vertices[l], path.vertices[l2]
             if work.distance(a, b) < l2 - l:
                 mid = path.vertices[(l + l2) // 2]
                 leaf = work.attach_leaf(mid)
-                if worklist is not None:
-                    worklist.touch(mid, leaf)
                 trace.append(
                     TraceEntry(
                         "shortcut", 0, (), (leaf,), {"leaf": leaf, "support": mid}
@@ -436,14 +423,10 @@ def apply_shortcut(
 
 
 def apply_margin(
-    work: MutableGraph,
-    fed: FeedbackEdgeDecomposition,
-    trace: list[TraceEntry],
-    worklist: RuleWorklist | None = None,
+    work: MutableGraph, fed: FeedbackEdgeDecomposition, trace: list[TraceEntry]
 ) -> bool:
     """Pin a position near a segment end when the nearest leafed position
-    sits deeper than the end-to-end distance allows.  A given ``worklist``
-    learns of the edit."""
+    sits deeper than the end-to-end distance allows."""
     for path in fed.paths:
         if not path.leaf_positions:
             continue
@@ -457,8 +440,6 @@ def apply_margin(
             continue
         support = path.vertices[pos]
         leaf = work.attach_leaf(support)
-        if worklist is not None:
-            worklist.touch(support, leaf)
         trace.append(
             TraceEntry("margin", 0, (), (leaf,), {"leaf": leaf, "support": support})
         )
@@ -467,19 +448,14 @@ def apply_margin(
 
 
 def apply_loop_prune(
-    work: MutableGraph,
-    fed: FeedbackEdgeDecomposition,
-    trace: list[TraceEntry],
-    worklist: RuleWorklist | None = None,
+    work: MutableGraph, fed: FeedbackEdgeDecomposition, trace: list[TraceEntry]
 ) -> bool:
     """Remove a loop at a branch vertex together with its pendant leaves.
 
     Only valid when the rest of the graph still contains a cycle, which the
     caller guarantees by checking the feedback edge number first.  The
     optimum drops by one less than the number of leafed vertices on the
-    loop; a bare odd loop costs one extra.  A given ``worklist`` learns of
-    the edit; the branch vertex is the only survivor whose degree changes,
-    since collapse and twin have left one leaf at most per loop vertex.
+    loop; a bare odd loop costs one extra.
     """
     for path in fed.paths:
         if not path.is_loop:
@@ -503,16 +479,13 @@ def apply_loop_prune(
             work.remove_vertex(path.vertices[pos])
             removed.append(path.vertices[pos])
         new_leaf = None if had_leaf else work.attach_leaf(v)
-        added = () if new_leaf is None else (new_leaf,)
-        if worklist is not None:
-            worklist.touch(v, *added)
         dk = (h % 2) if t == 0 else t - 1
         trace.append(
             TraceEntry(
                 "loop-prune",
                 dk,
                 tuple(removed),
-                added,
+                () if new_leaf is None else (new_leaf,),
                 {
                     "attach": v,
                     "had_leaf": had_leaf,
@@ -541,8 +514,9 @@ def reduce_to_fixpoint(g: Graph) -> ReductionResult:
 
     Stops early (without a decomposition) once fewer than two independent
     cycles remain; those instances are closed-form territory.  Collapse and
-    twin come from a :class:`RuleWorklist`, so each costs O(log n); only
-    the rarer segment rules rebuild the decomposition.
+    twin come from a :class:`RuleWorklist`, so each costs O(log n); the
+    rarer segment rules rebuild the decomposition, and the worklist after
+    they fire.
     """
     if g.n == 0:
         raise GraphError("cannot reduce the empty graph")
@@ -565,14 +539,13 @@ def reduce_to_fixpoint(g: Graph) -> ReductionResult:
             fed = None
             break
         fed = build_feg(work)
-        if apply_shortcut(work, fed, trace, worklist):
-            continue
-        if apply_margin(work, fed, trace, worklist):
-            continue
-        if apply_loop_prune(work, fed, trace, worklist):
+        if apply_shortcut(work, fed, trace) or apply_margin(work, fed, trace):
+            worklist = RuleWorklist(work)
+        elif apply_loop_prune(work, fed, trace):
             fen -= 1
-            continue
-        break
+            worklist = RuleWorklist(work)
+        else:
+            break
     else:  # pragma: no cover - the potential argument rules this out
         raise AssertionError("reduction failed to reach a fixpoint")
     k_decrease = sum(entry.dk for entry in trace)

@@ -33,6 +33,7 @@ from geodetic.ilp import FEASIBLE, INFEASIBLE, IlpModel, solve as solve_ilp
 from geodetic.oracle import min_geodetic_brute
 from geodetic.reduction import (
     MutableGraph,
+    RuleWorklist,
     apply_collapse,
     apply_loop_prune,
     apply_margin,
@@ -159,12 +160,12 @@ def test_criterion_2_rule_soundness(capsys):
         base_edges = list(base.edges())
         if counts["collapse"] < 100:
             g = Graph(n0 + 2, base_edges + [(v, n0), (n0, n0 + 1)])
-            diff = _one_rule_diff(g, lambda w, t: apply_collapse(w, t))
+            diff = _one_rule_diff(g, lambda w, t: apply_collapse(w, t, RuleWorklist(w)))
             if diff:
                 record("collapse", diff)
         if counts["twin"] < 100:
             g = Graph(n0 + 2, base_edges + [(v, n0), (v, n0 + 1)])
-            diff = _one_rule_diff(g, lambda w, t: apply_twin(w, t))
+            diff = _one_rule_diff(g, lambda w, t: apply_twin(w, t, RuleWorklist(w)))
             if diff:
                 record("twin", diff)
 

@@ -16,6 +16,7 @@ from geodetic.oracle import min_geodetic_brute
 from geodetic.reduction import (
     FenTooSmallError,
     MutableGraph,
+    RuleWorklist,
     apply_collapse,
     apply_loop_prune,
     apply_margin,
@@ -134,25 +135,27 @@ def test_collapse_shortens_pendant_path():
     g = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
     work = MutableGraph.from_graph(g)
     trace = []
-    assert apply_collapse(work, trace)
+    worklist = RuleWorklist(work)
+    assert apply_collapse(work, trace, worklist)
     assert trace[0].rule == "collapse"
     assert trace[0].removed == (4,)
     assert trace[0].dk == 0
     assert work.degree(3) == 1
     # vertex 3 is now a leaf, but its support 2 has degree 3: no second firing
-    assert not apply_collapse(work, trace)
+    assert not apply_collapse(work, trace, worklist)
 
 
 def test_twin_drops_second_leaf():
     g = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4)])
     work = MutableGraph.from_graph(g)
     trace = []
-    assert apply_twin(work, trace)
+    worklist = RuleWorklist(work)
+    assert apply_twin(work, trace, worklist)
     assert trace[0].rule == "twin"
     assert trace[0].removed == (4,)
     assert trace[0].dk == 1
     assert trace[0].info["kept"] == 3
-    assert not apply_twin(work, trace)
+    assert not apply_twin(work, trace, worklist)
 
 
 def hub_pair_with_spine(spine_len: int, leafed_at: list[int]) -> MutableGraph:
@@ -452,6 +455,7 @@ def test_reduction_work_is_near_linear(monkeypatch, g: Graph):
     segment_steps = sum(
         entry.rule in ("shortcut", "margin", "loop-prune") for entry in result.trace
     )
-    assert labels.scans <= segment_steps + 4
+    # the decomposition and the fresh worklist each list the labels once
+    assert labels.scans <= 2 * segment_steps + 4
     assert pushes <= 3 * (g.n + len(result.trace))
     assert len(result.trace) >= g.n - 200
