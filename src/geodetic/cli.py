@@ -181,9 +181,9 @@ def cmd_stats(args) -> int:
     report.line("input", args.graph)
     report.line("n", g.n)
     report.line("m", g.m)
-    fen = feedback_edge_number(g)
-    report.line("fen", fen)
     comps = connected_components(g)
+    fen = g.m - g.n + len(comps)
+    report.line("fen", fen)
     report.line("components", len(comps))
     if len(comps) == 1 and g.n > 1:
         report.line("diameter", diameter(g))

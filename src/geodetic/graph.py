@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from math import inf
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 INF = inf
 
@@ -166,6 +166,23 @@ def interval(g: Graph, dist: DistanceOracle, u: int, v: int) -> frozenset[int]:
     return frozenset(w for w in range(g.n) if du[w] + dv[w] == duv)
 
 
+def _bfs_order(
+    adj: Sequence[Sequence[int]], source: int
+) -> tuple[list[int], list[int]]:
+    """Hop distances from ``source`` (-1 if unreachable) and the visiting
+    order of one breadth-first search over the adjacency lists ``adj``."""
+    dist = [-1] * len(adj)
+    dist[source] = 0
+    order = [source]
+    for w in order:
+        dw = dist[w] + 1
+        for x in adj[w]:
+            if dist[x] < 0:
+                dist[x] = dw
+                order.append(x)
+    return dist, order
+
+
 def interval_closure(g: Graph, vertices: Iterable[int]) -> frozenset[int]:
     """Union of intervals over all vertex pairs drawn from ``vertices``.
 
@@ -190,15 +207,7 @@ def interval_closure(g: Graph, vertices: Iterable[int]) -> frozenset[int]:
     for u in vs:
         if uncovered == 0:
             break
-        dist = [-1] * g.n
-        dist[u] = 0
-        order = [u]
-        for w in order:
-            dw = dist[w] + 1
-            for x in adj[w]:
-                if dist[x] < 0:
-                    dist[x] = dw
-                    order.append(x)
+        dist, order = _bfs_order(adj, u)
         marked = bytearray(member)
         for w in reversed(order):
             if marked[w]:
@@ -225,42 +234,119 @@ def is_geodetic(g: Graph, vertices: Iterable[int]) -> bool:
 
 
 def diameter(g: Graph) -> int:
-    """Largest pairwise distance; error on empty or disconnected graphs."""
-    if g.n == 0:
+    """Largest pairwise distance; error on empty or disconnected graphs.
+
+    Exact, from breadth-first searches on the 2-core only.  Peeling the
+    degree-1 vertices leaves the 2-core and the height of the pendant tree
+    at each core vertex; the two deepest branches met at each peeled step
+    give the longest path inside a pendant tree, which is the answer on a
+    tree.  Hubs are the core vertices of core degree other than 2 or with a
+    pendant tree; a hub-free core is a cycle.  The rest of the core is
+    chains of degree-2 vertices between hubs, and a point i steps into a
+    chain (a, b, h) lies min(i + d(a, x), h - i + d(b, x)) from any x outside
+    it.  One BFS per hub on the core gives every pair with a hub.  Two
+    points of one chain need no case of their own: on the cycle of length
+    L = h + d(a, b) that the chain closes, a reaches min(L // 2, h - 1)
+    inside the chain, and no two interior points lie farther apart.  Two
+    points in two chains follow from the four distances between the chain
+    ends, in closed form per point of the shorter chain; a chain pair is
+    skipped when an O(1) bound shows it cannot beat the best so far.  Cost
+    O(hubs·m + chain pairs·h) time and O(hubs² + n) memory.
+    """
+    n = g.n
+    if n == 0:
         raise GraphError("diameter of the empty graph is undefined")
-    if g.n <= 1024:
-        best = 0
-        for s in range(g.n):
-            row = bfs_distances(g, s)
-            ecc = max(row)
-            if ecc is INF:
-                raise DisconnectedError("diameter requires a connected graph")
-            best = max(best, ecc)
-        return int(best)
-    return _diameter_large(g)
+    adj = g.adj
+    if len(_bfs_order(adj, 0)[1]) < n:
+        raise DisconnectedError("diameter requires a connected graph")
+    # peel the pendant trees; a peeled vertex keeps degree 0
+    deg = [len(nb) for nb in adj]
+    height = [0] * n
+    best = 0
+    stack = [v for v in range(n) if deg[v] == 1]
+    while stack:
+        v = stack.pop()
+        if deg[v] != 1:
+            continue  # the last vertex of a tree
+        deg[v] = 0
+        r = next(u for u in adj[v] if deg[u])
+        hv = height[v] + 1
+        best = max(best, height[r] + hv)
+        height[r] = max(height[r], hv)
+        deg[r] -= 1
+        if deg[r] == 1:
+            stack.append(r)
+    if g.m == n - 1:
+        return best
+    core_adj = [
+        tuple(u for u in nb if deg[u]) if deg[v] else () for v, nb in enumerate(adj)
+    ]
+    hubs = [v for v in range(n) if deg[v] and (deg[v] != 2 or height[v])]
+    if not hubs:
+        return sum(1 for d in deg if d) // 2
+    is_hub = bytearray(n)
+    for x in hubs:
+        is_hub[x] = 1
+    # maximal chains of non-hub core vertices, as (a, b, h) between hubs
+    chains: list[tuple[int, int, int]] = []
+    seen = bytearray(n)
+    for a in hubs:
+        for s in core_adj[a]:
+            if is_hub[s] or seen[s]:
+                continue
+            prev, cur, h = a, s, 1
+            while not is_hub[cur]:
+                seen[cur] = 1
+                x, y = core_adj[cur]
+                prev, cur = cur, y if x == prev else x
+                h += 1
+            chains.append((a, cur, h))
+    ends = sorted({v for a, b, _ in chains for v in (a, b)})
+    slot = {v: i for i, v in enumerate(ends)}
+    tall = [y for y in hubs if height[y]]
+    rows: dict[int, list[int]] = {}
+    ecc: dict[int, int] = {}
+    for x in hubs:
+        dist, order = _bfs_order(core_adj, x)
+        far = dist[order[-1]]
+        top = max([far] + [dist[y] + height[y] for y in tall if y != x])
+        best = max(best, height[x] + top)
+        if x in slot:
+            ecc[x] = far
+            rows[x] = [dist[e] for e in ends]
+    # two points in two chains, widest bound first
+    bounded = []
+    for a, b, h in chains:
+        ea, eb = ecc[a], ecc[b]
+        bound = min((h + ea + eb) // 2, min(ea, eb) + h - 1)
+        bounded.append((bound, h, rows[a], rows[b], slot[a], slot[b]))
+    bounded.sort(key=lambda c: -c[0])
+    for i, (bound, h, ra, rb, _, _) in enumerate(bounded):
+        if bound <= best:
+            break
+        for j in range(i + 1, len(bounded)):
+            bound2, g2, _, _, c, e = bounded[j]
+            if bound2 <= best:
+                break
+            ac, ae, bc, be = ra[c], ra[e], rb[c], rb[e]
+            if (h + g2 + min(ac + be, ae + bc)) // 2 <= best:
+                continue
+            if h <= g2:
+                best = max(best, _chain_pair_max(h, ac, ae, bc, be, g2))
+            else:
+                best = max(best, _chain_pair_max(g2, ac, bc, ae, be, h))
+    return best
 
 
-def _diameter_large(g: Graph) -> int:
-    # Batched C-level BFS keeps dense all-pairs sweeps off the Python heap.
-    import numpy as np
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra
-
-    indptr = np.zeros(g.n + 1, dtype=np.int64)
-    for v in range(g.n):
-        indptr[v + 1] = indptr[v] + len(g.adj[v])
-    indices = np.concatenate([np.asarray(nb, dtype=np.int64) for nb in g.adj])
-    data = np.ones(len(indices), dtype=np.int8)
-    mat = csr_matrix((data, indices, indptr), shape=(g.n, g.n))
-    best = 0.0
-    batch = 256
-    for start in range(0, g.n, batch):
-        idx = np.arange(start, min(start + batch, g.n))
-        rows = dijkstra(mat, directed=False, unweighted=True, indices=idx)
-        if np.isinf(rows).any():
-            raise DisconnectedError("diameter requires a connected graph")
-        best = max(best, float(rows.max()))
-    return int(best)
+def _chain_pair_max(h: int, ac: int, ae: int, bc: int, be: int, g: int) -> int:
+    """Largest distance between the interiors of two chains (a, b, h) and
+    (c, e, g), from the four distances between their ends."""
+    top = 0
+    for i in range(1, h):
+        dl = min(i + ac, h - i + bc)
+        dr = min(i + ae, h - i + be)
+        top = max(top, min(dl + g - 1, dr + g - 1, (dl + dr + g) // 2))
+    return top
 
 
 def parse_graph(text: str) -> Graph:

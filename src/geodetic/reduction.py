@@ -224,6 +224,24 @@ class PathRecord:
 class FeedbackEdgeDecomposition:
     branch_vertices: tuple[int, ...]
     paths: tuple[PathRecord, ...]
+    # segment index -> graph distance between its ends, filled by end_distance
+    _ends: dict[int, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def end_distance(self, work: MutableGraph, path: PathRecord) -> int:
+        """Graph distance between the two ends of ``path``; 0 on a loop.
+
+        One BFS from a branch vertex serves every segment starting there.
+        Shortcut and margin only add pendant leaves, which change no
+        distance between core vertices, so the memo outlives their edits.
+        """
+        if path.index not in self._ends:
+            dist = work.bfs(path.left)
+            for other in self.paths:
+                if other.left == path.left:
+                    self._ends[other.index] = dist[other.right]
+        return self._ends[path.index]
 
 
 def two_core(work: MutableGraph) -> set[int]:
@@ -408,9 +426,13 @@ def apply_shortcut(
     """Pin the midpoint between consecutive leafed positions that a shortcut
     elsewhere in the graph makes locally uncoverable."""
     for path in fed.paths:
+        if len(path.leaf_positions) < 2:
+            continue
+        # the interior is left only through the ends, so the way round is
+        # the only route that can beat the one along the segment
+        around = fed.end_distance(work, path) + path.h
         for l, l2 in zip(path.leaf_positions, path.leaf_positions[1:]):
-            a, b = path.vertices[l], path.vertices[l2]
-            if work.distance(a, b) < l2 - l:
+            if l + around - l2 < l2 - l:
                 mid = path.vertices[(l + l2) // 2]
                 leaf = work.attach_leaf(mid)
                 trace.append(
@@ -431,7 +453,7 @@ def apply_margin(
         if not path.leaf_positions:
             continue
         h = path.h
-        d = 0 if path.is_loop else int(work.distance(path.left, path.right))
+        d = fed.end_distance(work, path)
         if 2 * path.l_left - h > d:
             pos = path.l_left - (h + d) // 2
         elif h - 2 * path.l_right > d:

@@ -1,10 +1,17 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import geodetic.graph as graph_module
+from geodetic.gadget import build_gadget
+from geodetic.generators import random_fen_graph
 from geodetic.graph import (
     INF,
     DisconnectedError,
@@ -23,7 +30,14 @@ from geodetic.graph import (
     is_geodetic,
     parse_graph,
 )
-from tests.conftest import complete_graph, cycle_graph, path_graph, star_graph
+from geodetic.gridtiling import random_yes_instance
+from tests.conftest import (
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    star_graph,
+    theta_graph,
+)
 
 
 def test_graph_basic():
@@ -203,9 +217,133 @@ def test_diameter():
         diameter(Graph(0, []))
 
 
-def test_diameter_large_path_uses_batched_route():
+def test_diameter_long_path():
     n = 1500
     assert diameter(path_graph(n)) == n - 1
+
+
+def diameter_all_pairs(g: Graph) -> int:
+    """Reference: one BFS from every vertex."""
+    return max(max(bfs_distances(g, s)) for s in range(g.n))
+
+
+def theta_with_pendant_paths(rng: random.Random) -> Graph:
+    """A theta graph on 2-5 paths of length 1-8 with pendant paths of
+    length 1-4 hung at random vertices, so that chains meet hubs both bare
+    and with trees."""
+    lengths = [rng.randint(2, 8) for _ in range(rng.randint(2, 5))]
+    if rng.random() < 0.3:
+        lengths.append(1)
+    base = theta_graph(tuple(lengths))
+    edges = list(base.edges())
+    n = base.n
+    for _ in range(rng.randint(0, 4)):
+        prev = rng.randrange(n)
+        for _ in range(rng.randint(1, 4)):
+            edges.append((prev, n))
+            prev, n = n, n + 1
+    return Graph(n, edges)
+
+
+def test_diameter_matches_all_pairs_on_random_fen_graphs():
+    draws = 0
+    for seed in range(1200):
+        rng = random.Random(seed)
+        n, fen = rng.randint(1, 40), rng.randint(0, 8)
+        if fen > (n - 1) * (n - 2) // 2:
+            continue
+        g = random_fen_graph(n, fen, rng)
+        assert diameter(g) == diameter_all_pairs(g), (seed, n, fen)
+        draws += 1
+    assert draws > 1000
+
+
+def test_diameter_matches_all_pairs_on_shapes():
+    shapes = [Graph(1, []), path_graph(2), complete_graph(4), complete_graph(7)]
+    shapes += [path_graph(n) for n in range(3, 12)]
+    shapes += [cycle_graph(n) for n in range(3, 14)]
+    shapes += [star_graph(k) for k in range(1, 6)]
+    rng = random.Random(7)
+    shapes += [theta_with_pendant_paths(rng) for _ in range(600)]
+    for g in shapes:
+        assert diameter(g) == diameter_all_pairs(g), format_graph(g)
+
+
+def test_diameter_matches_all_pairs_on_small_gadgets():
+    for k, m, alphabet, seed in ((2, 1, 1, 0), (2, 2, 1, 1), (2, 2, 2, 2)):
+        inst, _ = random_yes_instance(k, m, alphabet, random.Random(seed))
+        g = build_gadget(inst).graph
+        assert diameter(g) == diameter_all_pairs(g)
+
+
+def core_hub_count(g: Graph) -> int:
+    """Vertices of the 2-core with core degree other than 2 or a pendant tree."""
+    deg = [len(nb) for nb in g.adj]
+    alive = [True] * g.n
+    stack = [v for v in range(g.n) if deg[v] == 1]
+    rooted = set()
+    while stack:
+        v = stack.pop()
+        if deg[v] != 1:
+            continue
+        alive[v], deg[v] = False, 0
+        (r,) = [u for u in g.adj[v] if alive[u]]
+        rooted.add(r)
+        deg[r] -= 1
+        if deg[r] == 1:
+            stack.append(r)
+    return sum(
+        1 for v in range(g.n) if alive[v] and deg[v] and (deg[v] != 2 or v in rooted)
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: random_fen_graph(20000, 4, random.Random(1)),
+        lambda: random_fen_graph(20000, 6, random.Random(2)),
+        lambda: star_graph(20000),
+    ],
+    ids=["near-tree-fen4", "near-tree-fen6", "star"],
+)
+def test_diameter_runs_one_bfs_per_core_hub(monkeypatch, make):
+    """Counts, not clock time: one BFS to check connectivity and one per
+    hub of the 2-core, whatever the size of the pendant trees."""
+    g = make()
+    sweeps = 0
+    bfs_order = graph_module._bfs_order
+
+    def counting_bfs_order(adj, source):
+        nonlocal sweeps
+        sweeps += 1
+        return bfs_order(adj, source)
+
+    monkeypatch.setattr(graph_module, "_bfs_order", counting_bfs_order)
+    assert diameter(g) > 0
+    assert sweeps <= core_hub_count(g) + 1
+
+
+def test_stats_on_a_gadget_imports_no_numpy_or_scipy(tmp_path):
+    src_dir = Path(graph_module.__file__).resolve().parent.parent
+    prefix = str(tmp_path / "gad")
+    script = (
+        "import sys\n"
+        "from geodetic.cli import main\n"
+        f"argv = ['generate', 'gadget', '--k', '2', '--m', '1', '--n', '1',"
+        f" '--planted', 'yes', '--seed', '3', '--out', {prefix!r}]\n"
+        "assert main(argv + ['--quiet']) == 0\n"
+        f"assert main(['stats', {prefix + '.graph'!r}]) == 0\n"
+        "print(sorted({'numpy', 'scipy'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src_dir))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "n 1100" in lines
+    assert lines[-1] == "[]"
 
 
 def test_parse_and_format_round_trip():

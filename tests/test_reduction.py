@@ -194,6 +194,25 @@ def test_shortcut_ignores_tight_pairs():
     assert not apply_shortcut(work, fed, [])
 
 
+def test_shortcut_and_margin_share_one_bfs_per_branch_vertex(monkeypatch):
+    """Counts, not clock time: the end-to-end distance of each segment
+    decides all its leafed pairs, so no BFS runs per pair."""
+    work = hub_pair_with_spine(12, [1, 3, 5, 7, 9, 11])
+    fed = build_feg(work)
+    searches = 0
+    bfs = MutableGraph.bfs
+
+    def counting_bfs(self, source):
+        nonlocal searches
+        searches += 1
+        return bfs(self, source)
+
+    monkeypatch.setattr(MutableGraph, "bfs", counting_bfs)
+    assert not apply_shortcut(work, fed, [])
+    assert not apply_margin(work, fed, [])
+    assert searches <= len(fed.branch_vertices)
+
+
 def test_margin_pins_near_left_end():
     work = hub_pair_with_spine(6, [5])
     trace = []
