@@ -35,7 +35,6 @@ from geodetic.ilp import (
 from geodetic.reduction import (
     FeedbackEdgeDecomposition,
     MutableGraph,
-    TraceEntry,
     lift_witness,
     reduce_to_fixpoint,
     solve_fen1_optimum,
@@ -58,17 +57,15 @@ Expr = tuple[list[tuple[int, int]], int]
 
 @dataclass(frozen=True)
 class GuessContext:
-    """One point of the guess space.
+    """One point of the guess space, as plain data.
 
-    ``chosen`` lists the unleafed branch vertices that receive a stand-in
-    leaf; ``interior_counts`` maps unleafed segment indices to the number
-    of interior solution vertices; ``leafed_snapshot`` records each
-    segment's leafed positions before the guess touches the graph.
+    ``chosen`` lists the unleafed branch vertices that join the solution;
+    ``interior_counts`` maps each unleafed segment with no chosen endpoint
+    to the number of solution vertices inside it.
     """
 
     chosen: tuple[int, ...]
     interior_counts: tuple[tuple[int, int], ...]
-    leafed_snapshot: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -92,11 +89,16 @@ class PreparedInstance:
 
 @dataclass
 class AppliedGuess:
-    """Working copy of the fixpoint graph after one guess is grafted on."""
+    """What a guess fixes on the fixpoint graph, which it leaves untouched.
+
+    ``forced`` holds the solution vertices the guess decides outright: the
+    chosen branch vertices and the pinned supports.  ``classes`` gives each
+    segment's class, and ``leafed`` the sorted positions whose vertices
+    count as leafed: the fixpoint's leafed positions, chosen ends and pins.
+    """
 
     ctx: GuessContext
-    work: MutableGraph
-    trace: list[TraceEntry]
+    forced: tuple[int, ...]
     classes: tuple[str, ...]
     leafed: tuple[tuple[int, ...], ...]
 
@@ -118,7 +120,7 @@ def prepare(work: MutableGraph, fed: FeedbackEdgeDecomposition) -> PreparedInsta
             raise GraphError("loops survive only below two independent cycles")
     open_branch = tuple(v for v in fed.branch_vertices if not work.is_leafed(v))
     empties = tuple(p.index for p in fed.paths if not p.leaf_positions)
-    dist = {b: work.bfs(b) for b in fed.branch_vertices}
+    dist = {b: fed.distances_from(work, b) for b in fed.branch_vertices}
     leaf_count = sum(1 for v in work.labels() if work.degree(v) == 1)
     return PreparedInstance(work, fed, open_branch, empties, dist, leaf_count)
 
@@ -149,10 +151,10 @@ def _subset_shape(
 def candidate_size(prep: PreparedInstance, ctx: GuessContext) -> int:
     """Size every feasible candidate of this guess must have.
 
-    Leaves of the worked graph are all forced, and each untouched unleafed
-    segment contributes exactly its guessed interior count.  A segment
-    with a chosen endpoint and an interior longer than the outside
-    distance trades its one forced interior vertex for a pinned leaf.
+    Leaves of the fixpoint graph and chosen branch vertices are all
+    forced, and each untouched unleafed segment contributes exactly its
+    guessed interior count.  A segment with a chosen endpoint and an
+    interior longer than the outside distance adds one pinned vertex.
     """
     base, _free, _caps = _subset_shape(prep, ctx.chosen)
     return base + sum(c for _i, c in ctx.interior_counts)
@@ -185,22 +187,18 @@ def route_cover(
 
 
 def apply_guess(prep: PreparedInstance, ctx: GuessContext) -> AppliedGuess:
-    """Graft a guess onto a copy of the fixpoint graph.
+    """Work out what a guess forces, without editing the fixpoint graph.
 
-    Chosen branch vertices get a stand-in leaf.  An unleafed segment with
-    a chosen endpoint and a strictly shorter outside route gets one more
-    pinned leaf: at the midpoint when both ends are chosen, otherwise at
-    the deepest position the chosen end can still cover.
+    Chosen branch vertices are forced and count as leafed.  An unleafed
+    segment with a chosen endpoint and a strictly shorter outside route
+    forces one more, pinned vertex: at the midpoint when both ends are
+    chosen, otherwise at the deepest position the chosen end can still
+    cover.  Forcing a vertex acts as a pendant leaf there would: a leaf l
+    at s has I(l, x) = {l} | I(s, x) and changes no other distance.
     """
     st = set(ctx.chosen)
     counts = dict(ctx.interior_counts)
-    work = prep.work.copy()
-    trace: list[TraceEntry] = []
-    for v in ctx.chosen:
-        leaf = work.attach_leaf(v)
-        trace.append(
-            TraceEntry("guess-leaf", 0, (), (leaf,), {"leaf": leaf, "support": v})
-        )
+    forced = list(ctx.chosen)
     classes: list[str] = []
     leafed: list[tuple[int, ...]] = []
     for p in prep.fed.paths:
@@ -214,25 +212,19 @@ def apply_guess(prep: PreparedInstance, ctx: GuessContext) -> AppliedGuess:
             d = prep.dist[p.left][p.right]
             if h > d:
                 if p.left in st and p.right in st:
-                    pos, rule = h // 2, "shortcut"
+                    pos = h // 2
                 elif p.left in st:
-                    pos, rule = (h + d) // 2, "margin"
+                    pos = (h + d) // 2
                 else:
-                    pos, rule = h - (h + d) // 2, "margin"
-                support = p.vertices[pos]
-                leaf = work.attach_leaf(support)
-                trace.append(
-                    TraceEntry(
-                        rule, 0, (), (leaf,), {"leaf": leaf, "support": support}
-                    )
-                )
+                    pos = h - (h + d) // 2
+                forced.append(p.vertices[pos])
                 positions.add(pos)
         if positions:
             classes.append(LEAFED)
         else:
             classes.append(_COUNT_CLASS[counts[p.index]])
         leafed.append(tuple(sorted(positions)))
-    return AppliedGuess(ctx, work, trace, tuple(classes), tuple(leafed))
+    return AppliedGuess(ctx, tuple(forced), tuple(classes), tuple(leafed))
 
 
 def emit_ilp(prep: PreparedInstance, applied: AppliedGuess) -> tuple[IlpModel, dict]:
@@ -247,7 +239,8 @@ def emit_ilp(prep: PreparedInstance, applied: AppliedGuess) -> tuple[IlpModel, d
     fed = prep.fed
     dist = prep.dist
     classes = applied.classes
-    big = 100 * applied.work.m
+    # the edge count of the fixpoint with a leaf at every forced vertex
+    big = 100 * (prep.work.m + len(applied.forced))
     active = [i for i, c in enumerate(classes) if c != EMPTY]
     sweep = [i for i, c in enumerate(classes) if c == EMPTY]
     anchors = [(i, r) for i in active for r in (0, 1)]
@@ -419,7 +412,8 @@ def reconstruct(
     assignment: dict[int, int],
     meta: dict,
 ) -> tuple[int, ...]:
-    """Resolve a feasible assignment into concrete solution vertices."""
+    """Resolve a feasible assignment into a solution of the fixpoint graph:
+    its leaves, the forced vertices and the placements."""
     classes = applied.classes
 
     def value(key: tuple[int, int]) -> int:
@@ -427,7 +421,8 @@ def reconstruct(
             return meta["fixed"][key]
         return assignment[meta["placed"][key]]
 
-    solution = {v for v in applied.work.labels() if applied.work.degree(v) == 1}
+    solution = {v for v in prep.work.labels() if prep.work.degree(v) == 1}
+    solution.update(applied.forced)
     for i in meta["active"]:
         if classes[i] == LEAFED:
             continue
@@ -498,7 +493,6 @@ def _effective_items(
     entry keeps only the chosen vertices; the segments are worked out
     again when it is popped.
     """
-    snapshot = tuple(p.leaf_positions for p in prep.fed.paths)
     nb = len(prep.open_branch)
     heap: list[tuple[int, int, int, int, tuple[int, ...]]] = []
     layer = 0
@@ -515,7 +509,7 @@ def _effective_items(
         size, popcount, mask, total, chosen = heapq.heappop(heap)
         _base, free, caps = _subset_shape(prep, chosen)
         for counts in _count_tuples(caps, total):
-            ctx = GuessContext(chosen, tuple(zip(free, counts)), snapshot)
+            ctx = GuessContext(chosen, tuple(zip(free, counts)))
             yield candidate_size(prep, ctx), (popcount, mask, total, counts), ctx
         if total < sum(caps):
             heapq.heappush(heap, (size + 1, popcount, mask, total + 1, chosen))
@@ -533,12 +527,11 @@ def _process_guess(
         return "infeasible", res.nodes, None
     assert res.assignment is not None
     solution = reconstruct(prep, applied, res.assignment, meta)
-    graph, labels = applied.work.to_graph()
+    graph, labels = prep.work.to_graph()
     index = {lab: j for j, lab in enumerate(labels)}
     if not is_geodetic(graph, [index[v] for v in solution]):
         raise VerificationError(f"reduced-graph solution {solution} is not geodetic")
-    witness = lift_witness(applied.trace, solution)
-    return "feasible", res.nodes, witness
+    return "feasible", res.nodes, solution
 
 
 def _solve_guesses(

@@ -171,12 +171,6 @@ class MutableGraph:
         ]
         return Graph(len(labels), edges), labels
 
-    def copy(self) -> "MutableGraph":
-        mg = MutableGraph()
-        mg._adj = {v: set(nb) for v, nb in self._adj.items()}
-        mg._next = self._next
-        return mg
-
 
 @dataclass(frozen=True)
 class TraceEntry:
@@ -224,24 +218,25 @@ class PathRecord:
 class FeedbackEdgeDecomposition:
     branch_vertices: tuple[int, ...]
     paths: tuple[PathRecord, ...]
-    # segment index -> graph distance between its ends, filled by end_distance
-    _ends: dict[int, int] = field(
+    # branch vertex -> BFS distances from it, filled on first use
+    _rows: dict[int, dict[int, int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def end_distance(self, work: MutableGraph, path: PathRecord) -> int:
-        """Graph distance between the two ends of ``path``; 0 on a loop.
+    def distances_from(self, work: MutableGraph, b: int) -> dict[int, int]:
+        """BFS distances from branch vertex ``b``, searched once.
 
-        One BFS from a branch vertex serves every segment starting there.
-        Shortcut and margin only add pendant leaves, which change no
-        distance between core vertices, so the memo outlives their edits.
-        """
-        if path.index not in self._ends:
-            dist = work.bfs(path.left)
-            for other in self.paths:
-                if other.left == path.left:
-                    self._ends[other.index] = dist[other.right]
-        return self._ends[path.index]
+        The driver builds a fresh decomposition after every edit, so the
+        fixpoint's rows are exact and :func:`geodetic.fpt.prepare` reuses
+        those the segment rules filled."""
+        row = self._rows.get(b)
+        if row is None:
+            row = self._rows[b] = work.bfs(b)
+        return row
+
+    def end_distance(self, work: MutableGraph, path: PathRecord) -> int:
+        """Graph distance between the two ends of ``path``; 0 on a loop."""
+        return self.distances_from(work, path.left)[path.right]
 
 
 def two_core(work: MutableGraph) -> set[int]:
@@ -579,7 +574,7 @@ def replay_entry(work: MutableGraph, entry: TraceEntry) -> None:
     if entry.rule in ("collapse", "twin"):
         (gone,) = entry.removed
         work.remove_vertex(gone)
-    elif entry.rule in ("shortcut", "margin", "guess-leaf"):
+    elif entry.rule in ("shortcut", "margin"):
         (leaf,) = entry.added
         work.attach_leaf(entry.info["support"], label=leaf)
     elif entry.rule == "loop-prune":
@@ -609,7 +604,7 @@ def lift_witness(trace: list[TraceEntry], witness: Iterable[int]) -> tuple[int, 
             removed = entry.info["removed"]
             assert removed not in current
             current.add(removed)
-        elif entry.rule in ("shortcut", "margin", "guess-leaf"):
+        elif entry.rule in ("shortcut", "margin"):
             leaf = entry.info["leaf"]
             support = entry.info["support"]
             assert leaf in current, "pinned leaf is forced"

@@ -42,6 +42,22 @@ def test_solve_cross_check_agrees(tmp_path, capsys):
     assert "cross-check ok" in out
 
 
+def test_solve_cross_check_skips_an_unknown_side(tmp_path, capsys):
+    prefix = str(tmp_path / "d14")
+    argv = ["generate", "random-fen", "--n", "14", "--fen", "6", "--seed", "4"]
+    assert main(argv + ["--out", prefix]) == 0
+    code, out = run(
+        capsys,
+        ["solve", prefix + ".graph", "--algo", "fpt", "--cross-check",
+         "--node-budget", "1", "--deterministic"],
+    )
+    # the budget leaves the fpt side unknown, so nothing was compared
+    assert code == 3
+    assert "status unknown" in out
+    assert "cross-check skipped" in out
+    assert "cross-check ok" not in out
+
+
 def test_solve_threshold_answers(tmp_path, capsys):
     path = write_graph(tmp_path, "k4.graph", complete_graph(4))
     code, out = run(capsys, ["solve", path, "--k", "4", "--deterministic"])
@@ -114,6 +130,17 @@ def test_verify_out_of_range_is_an_error(tmp_path, capsys):
     bad.write_text("0 9\n")
     code, _out = run(capsys, ["verify", graph, str(bad)])
     assert code == 2
+
+
+def test_verify_malformed_set_is_an_error(tmp_path, capsys):
+    graph = write_graph(tmp_path, "p3.graph", path_graph(3))
+    bad = tmp_path / "bad.set"
+    bad.write_text("0 x\n")
+    code = main(["verify", graph, str(bad)])
+    err = capsys.readouterr().err
+    # exit 1 would claim the set was checked and is not geodetic
+    assert code == 2
+    assert err == f"error bad vertex id 'x' in {bad}\n"
 
 
 def test_stats_reports_bounds(tmp_path, capsys):

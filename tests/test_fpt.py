@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import geodetic
-from geodetic import fpt
+from geodetic import fpt, reduction
 from geodetic.fpt import (
     OPTIMAL,
     UNKNOWN,
@@ -28,9 +28,10 @@ from geodetic.generators import random_fen_graph
 from geodetic.graph import DisconnectedError, Graph, VerificationError, is_geodetic
 from geodetic.ilp import FEASIBLE, solve as solve_ilp
 from geodetic.oracle import min_geodetic_brute
-from geodetic.reduction import reduce_to_fixpoint
+from geodetic.reduction import MutableGraph, reduce_to_fixpoint
 
 from conftest import complete_graph, cycle_graph, path_graph, star_graph, theta_graph
+from test_fpt_reference import reference_graft
 
 
 def prepared(g):
@@ -85,7 +86,7 @@ CORRUPTIONS = {
 }
 # (fpt function whose result is corrupted, how, expected error message)
 CERTIFICATE_CASES = [
-    ("lift_witness", "drop", "lifted witness has 2 vertices, optimum is 4"),
+    ("lift_witness", "drop", "lifted witness has 3 vertices, optimum is 4"),
     ("lift_witness", "swap", r"lifted witness \(0, 2, 3, 4\) is not geodetic"),
     ("reconstruct", "drop", "reduced-graph solution .* is not geodetic"),
 ]
@@ -224,25 +225,59 @@ def test_leafed_positions_stay_inside_snapshot_and_pins():
     _, prep = prepared(theta_graph((2, 2, 3)))
     for ctx in guesses(prep):
         applied = apply_guess(prep, ctx)
-        pinned = {
-            e.info["support"]
-            for e in applied.trace
-            if e.rule in ("shortcut", "margin")
-        }
+        pinned = set(applied.forced) - set(ctx.chosen)
         for i, p in enumerate(prep.fed.paths):
-            allowed = set(ctx.leafed_snapshot[i]) | {0, p.h}
+            allowed = set(p.leaf_positions) | {0, p.h}
             allowed |= {j for j, v in enumerate(p.vertices) if v in pinned}
             assert set(applied.leafed[i]) <= allowed
 
 
 def test_guess_leaves_do_not_change_branch_distances():
+    # forcing a vertex stands for a pendant leaf there, which must leave the
+    # branch distances that emit_ilp reads as they are
     _, prep = prepared(theta_graph((2, 3, 4)))
     for ctx in guesses(prep):
-        applied = apply_guess(prep, ctx)
+        work, _trace = reference_graft(prep, ctx)
         for b in prep.fed.branch_vertices:
-            after = applied.work.bfs(b)
+            after = work.bfs(b)
             for c in prep.fed.branch_vertices:
                 assert after[c] == prep.dist[b][c]
+
+
+def test_prepare_reuses_the_segment_rules_bfs_rows(monkeypatch):
+    """Counts, not clock time: on the fixpoint each branch vertex is
+    searched at most once, by the segment rules or else by prepare."""
+    searched: list[int] = []
+    bfs = MutableGraph.bfs
+    build_feg = reduction.build_feg
+
+    def counting_bfs(self, source):
+        searched.append(source)
+        return bfs(self, source)
+
+    def fresh_build_feg(work):
+        # searches before the last decomposition ran on an earlier graph
+        searched.clear()
+        return build_feg(work)
+
+    monkeypatch.setattr(MutableGraph, "bfs", counting_bfs)
+    monkeypatch.setattr(reduction, "build_feg", fresh_build_feg)
+    draws = random.Random(41)
+    kernels = reused = 0
+    while kernels < 150:
+        g = random_fen_graph(draws.randint(6, 40), draws.randint(2, 7), draws)
+        red = reduce_to_fixpoint(g)
+        if red.decomposition is None:
+            continue
+        by_rules = list(searched)
+        searched.clear()
+        prep = prepare(red.graph, red.decomposition)
+        assert not set(searched) & set(by_rules)
+        assert sorted(by_rules + searched) == sorted(set(by_rules + searched))
+        assert set(by_rules + searched) == set(prep.fed.branch_vertices)
+        kernels += 1
+        reused += len(by_rules)
+    assert reused > 100
 
 
 def test_candidate_size_matches_reconstruction():

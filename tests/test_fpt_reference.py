@@ -1,11 +1,16 @@
-"""The lazy guess stream and the memoised ILP rows against the code they replaced.
+"""The lazy guess stream, the memoised ILP rows and the read-only guesses
+against the code they replaced.
 
 ``eager_items`` is the guess list the solver used to build and sort in
 full (with the segment-by-segment ``reference_candidate_size``), and
 ``pairwise_emit_ilp`` the model builder that rescanned every ordered anchor
-pair for each covered target.  They are kept here as the references for
-:func:`geodetic.fpt._effective_items`, :func:`geodetic.fpt.candidate_size`
-and :func:`geodetic.fpt.emit_ilp`.
+pair for each covered target.  ``reference_graft`` and
+``reference_reconstruct`` are the guess application that copied the
+fixpoint graph, hung a leaf on every forced vertex and solved on that
+grafted copy.  They are kept here as the references for
+:func:`geodetic.fpt._effective_items`, :func:`geodetic.fpt.candidate_size`,
+:func:`geodetic.fpt.emit_ilp`, :func:`geodetic.fpt.apply_guess` and
+:func:`geodetic.fpt.reconstruct`.
 """
 
 import itertools
@@ -20,11 +25,82 @@ from geodetic.fpt import (
     apply_guess,
     emit_ilp,
     prepare,
+    reconstruct,
 )
 from geodetic.generators import random_fen_graph
-from geodetic.graph import Graph
+from geodetic.graph import Graph, is_geodetic
 from geodetic.ilp import FEASIBLE, IlpModel, solve as solve_ilp
-from geodetic.reduction import reduce_to_fixpoint
+from geodetic.reduction import (
+    MutableGraph,
+    TraceEntry,
+    lift_witness,
+    reduce_to_fixpoint,
+)
+
+
+def reference_graft(prep, ctx):
+    """Reference: a copy of the fixpoint graph with the guess grafted on,
+    and the trace of the leaves it hung.
+
+    Chosen branch vertices get a stand-in leaf.  An unleafed segment with
+    a chosen endpoint and a strictly shorter outside route gets one more
+    pinned leaf: at the midpoint when both ends are chosen, otherwise at
+    the deepest position the chosen end can still cover.
+    """
+    st = set(ctx.chosen)
+    work = MutableGraph()
+    for v in prep.work.labels():
+        work.add_vertex(v)
+    for u in prep.work.labels():
+        for v in prep.work.neighbors(u):
+            if u < v:
+                work.add_edge(u, v)
+    trace = []
+    for v in ctx.chosen:
+        leaf = work.attach_leaf(v)
+        # lift_witness undoes a pin by putting the support back in place of
+        # the leaf, which is all a stand-in leaf needs
+        trace.append(
+            TraceEntry("margin", 0, (), (leaf,), {"leaf": leaf, "support": v})
+        )
+    for p in prep.fed.paths:
+        h = p.h
+        if p.leaf_positions or not (p.left in st or p.right in st):
+            continue
+        d = prep.dist[p.left][p.right]
+        if h > d:
+            if p.left in st and p.right in st:
+                pos, rule = h // 2, "shortcut"
+            elif p.left in st:
+                pos, rule = (h + d) // 2, "margin"
+            else:
+                pos, rule = h - (h + d) // 2, "margin"
+            support = p.vertices[pos]
+            leaf = work.attach_leaf(support)
+            trace.append(
+                TraceEntry(rule, 0, (), (leaf,), {"leaf": leaf, "support": support})
+            )
+    return work, trace
+
+
+def reference_reconstruct(prep, applied, work, assignment, meta):
+    """Reference: a solution of the grafted graph ``work``, its leaves and
+    the placements."""
+    solution = {v for v in work.labels() if work.degree(v) == 1}
+    for i in meta["active"]:
+        if applied.classes[i] == LEAFED:
+            continue
+        path = prep.fed.paths[i]
+        lo = assignment[meta["placed"][(i, 0)]]
+        hi = path.h - assignment[meta["placed"][(i, 1)]]
+        solution.update((path.vertices[lo], path.vertices[hi]))
+    return tuple(sorted(solution))
+
+
+def geodetic_on(work, solution):
+    graph, labels = work.to_graph()
+    index = {lab: j for j, lab in enumerate(labels)}
+    return is_geodetic(graph, [index[v] for v in solution])
 
 
 def reference_candidate_size(prep, ctx):
@@ -45,7 +121,6 @@ def reference_candidate_size(prep, ctx):
 
 def eager_items(prep):
     """Reference: every guess built up front, sorted by (size, seq)."""
-    snapshot = tuple(p.leaf_positions for p in prep.fed.paths)
     items = []
     seq = 0
     masks = sorted(
@@ -64,7 +139,7 @@ def eager_items(prep):
             itertools.product((0, 1, 2), repeat=len(free)),
             key=lambda t: (sum(t), t),
         ):
-            ctx = GuessContext(chosen, tuple(zip(free, assign)), snapshot)
+            ctx = GuessContext(chosen, tuple(zip(free, assign)))
             items.append((reference_candidate_size(prep, ctx), seq, ctx))
             seq += 1
     items.sort(key=lambda t: (t[0], t[1]))
@@ -83,7 +158,7 @@ def pairwise_emit_ilp(prep, applied):
     fed = prep.fed
     dist = prep.dist
     classes = applied.classes
-    big = 100 * applied.work.m
+    big = 100 * reference_graft(prep, applied.ctx)[0].m
     active = [i for i, c in enumerate(classes) if c != EMPTY]
     sweep = [i for i, c in enumerate(classes) if c == EMPTY]
     anchors = [(i, r) for i in active for r in (0, 1)]
@@ -311,12 +386,32 @@ def test_stream_matches_eager_reference():
 def test_emit_ilp_matches_pairwise_reference():
     # every guess the solver applies, up to the first feasible one
     models = 0
+    verdicts = [0, 0]
     for prep in seeded_kernels(32, 200, 0):
         for _size, _seq, ctx in _effective_items(prep):
             applied = apply_guess(prep, ctx)
             model, meta = emit_ilp(prep, applied)
             assert (model, meta) == pairwise_emit_ilp(prep, applied)
             models += 1
-            if solve_ilp(model).status == FEASIBLE:
+            res = solve_ilp(model)
+            if res.status == FEASIBLE:
                 break
+        assert res.status == FEASIBLE
+        # the first feasible guess: the grafted solution lifts to the
+        # kernel solution, and the two certificates agree on it and on
+        # every move of one vertex that is not a grafted leaf to a
+        # neighbour outside the solution
+        work, trace = reference_graft(prep, ctx)
+        grafted = reference_reconstruct(prep, applied, work, res.assignment, meta)
+        solution = reconstruct(prep, applied, res.assignment, meta)
+        assert lift_witness(trace, grafted) == solution
+        assert geodetic_on(work, grafted) and geodetic_on(prep.work, solution)
+        leaves = {e.info["leaf"] for e in trace}
+        for v in set(grafted) - leaves:
+            for w in sorted(prep.work.neighbors(v) - set(solution)):
+                moved = [w if u == v else u for u in grafted]
+                verdict = geodetic_on(work, moved)
+                assert verdict == geodetic_on(prep.work, lift_witness(trace, moved))
+                verdicts[verdict] += 1
     assert models > 2_000
+    assert min(verdicts) > 20

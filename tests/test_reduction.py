@@ -69,14 +69,6 @@ def test_mutable_graph_edit_operations():
     assert fresh == 4  # labels of removed vertices are never reused
 
 
-def test_mutable_graph_copy_is_independent():
-    work = MutableGraph.from_graph(cycle_graph(4))
-    clone = work.copy()
-    clone.remove_vertex(0)
-    assert work.has_vertex(0)
-    assert clone.n == 3
-
-
 def test_two_core_strips_pendant_trees():
     g = Graph(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (3, 5), (5, 6)])
     work = MutableGraph.from_graph(g)
