@@ -6,7 +6,8 @@ through guess enumeration: which unleafed branch vertices join the
 solution, and how many solution vertices sit in the interior of each
 unleafed segment.  A guess fixes the candidate size outright and leaves
 only the exact placements open, which a small integer feasibility program
-decides.  Guesses are processed in order of candidate size, so the first
+decides, unless the memoised route covers refute the guess before the
+program is built.  Guesses are processed in order of candidate size, so the first
 feasible one realizes the optimum of the reduced graph.
 """
 
@@ -35,6 +36,7 @@ from geodetic.ilp import (
 from geodetic.reduction import (
     FeedbackEdgeDecomposition,
     MutableGraph,
+    PathRecord,
     lift_witness,
     reduce_to_fixpoint,
     solve_fen1_optimum,
@@ -73,7 +75,8 @@ class PreparedInstance:
     """Fixpoint graph with everything the guess loop reads over and over.
 
     ``route_covers`` memoises :func:`route_cover` per ordered pair of
-    segment ends; it fills as guesses reach the pairs.
+    segment ends, and ``route_masks`` the same covers as bitmasks for
+    :func:`refute_guess`; both fill as guesses reach the pairs.
     """
 
     work: MutableGraph
@@ -85,6 +88,7 @@ class PreparedInstance:
     route_covers: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = (
         field(default_factory=dict)
     )
+    route_masks: dict[tuple[int, int], int] = field(default_factory=dict)
 
 
 @dataclass
@@ -186,6 +190,142 @@ def route_cover(
     return cover
 
 
+def _route_mask(prep: PreparedInstance, va: int, vb: int) -> int:
+    """:func:`route_cover` as a bitmask of targets (see :func:`_target_mask`),
+    stored in ``prep.route_masks``; callers look there first."""
+    segments, vertices = route_cover(prep, va, vb)
+    on_route = set(vertices)
+    shift = len(prep.fed.paths)
+    mask = sum(1 << i for i in segments) | sum(
+        1 << (shift + j) for j, v in enumerate(prep.open_branch) if v in on_route
+    )
+    prep.route_masks[(va, vb)] = mask
+    return mask
+
+
+def _target_mask(prep: PreparedInstance, applied: AppliedGuess) -> int:
+    """The targets of a guess as a bitmask: bit i for an empty segment i
+    with h >= 2, and bit ``len(paths) + j`` for ``open_branch[j]`` unchosen.
+    Each target must lie on a claimed route."""
+    paths = prep.fed.paths
+    chosen = set(applied.ctx.chosen)
+    mask = sum(
+        1 << i for i, c in enumerate(applied.classes) if c == EMPTY and paths[i].h >= 2
+    )
+    shift = len(paths)
+    return mask | sum(
+        1 << (shift + j) for j, v in enumerate(prep.open_branch) if v not in chosen
+    )
+
+
+def _fixed_offsets(
+    prep: PreparedInstance, applied: AppliedGuess
+) -> dict[tuple[int, int], int]:
+    """Placement offset of each end (i, r) of a leafed segment: the distance
+    from that end to the nearest leafed position."""
+    fixed = {}
+    for i, c in enumerate(applied.classes):
+        if c == LEAFED:
+            fixed[(i, 0)] = applied.leafed[i][0]
+            fixed[(i, 1)] = prep.fed.paths[i].h - applied.leafed[i][-1]
+    return fixed
+
+
+def _end(path: PathRecord, r: int) -> int:
+    return path.right if r else path.left
+
+
+def _cross_shut(
+    prep: PreparedInstance,
+    a: tuple[int, int],
+    b: tuple[int, int],
+    xa: int,
+    xb: int,
+) -> bool:
+    """Whether the through route between two fixed placements, at offsets
+    ``xa`` from end a and ``xb`` from end b, is longer than a detour around
+    a segment end, so that the pair can never claim it."""
+    paths, dist = prep.fed.paths, prep.dist
+    (ia, ra), (ib, rb) = a, b
+    ha, hb = paths[ia].h, paths[ib].h
+    va, wa = _end(paths[ia], ra), _end(paths[ia], 1 - ra)
+    vb, wb = _end(paths[ib], rb), _end(paths[ib], 1 - rb)
+    length = xa + dist[va][vb] + xb
+    alts = (
+        xa + dist[va][wb] + hb - xb,
+        ha - xa + dist[wa][vb] + xb,
+        ha - xa + dist[wa][wb] + hb - xb,
+    )
+    return length > min(alts)
+
+
+def _self_shut(prep: PreparedInstance, i: int, xl: int, xr: int) -> bool:
+    """Whether the outside route between two fixed placements of segment i,
+    at offsets ``xl`` and ``xr`` from its ends, is longer than the inside."""
+    p = prep.fed.paths[i]
+    return xl + prep.dist[p.left][p.right] + xr > p.h - xl - xr
+
+
+def refute_guess(prep: PreparedInstance, applied: AppliedGuess) -> str | None:
+    """Why the guess's program is infeasible at its root, without building it.
+
+    Returns ``"cover"`` when a target lies on no route of any ordered
+    anchor pair, ``"const-cover"`` when it lies only on routes whose gates
+    the constants shut (the same tests :func:`emit_ilp` folds into
+    ``gate <= 0`` rows), ``"const-margin"`` when a fixed placement deeper
+    than 1 has no open gate leaving its end, and None otherwise.  Each case
+    is a row of the program that root propagation proves infeasible.
+    """
+    paths = prep.fed.paths
+    fixed = _fixed_offsets(prep, applied)
+    anchors = [
+        ((i, r), _end(paths[i], r))
+        for i, c in enumerate(applied.classes)
+        if c != EMPTY
+        for r in (0, 1)
+    ]
+    masks = prep.route_masks
+    reach = reach_open = 0
+    leaves_open = set()
+    # pairs of two fixed placements, whose gates the constants may shut
+    unsure: list[tuple[tuple[int, int], tuple[int, int], int]] = []
+    for a, va in anchors:
+        for b, vb in anchors:
+            if a == b:
+                continue
+            mask = masks.get((va, vb))
+            if mask is None:
+                mask = _route_mask(prep, va, vb)
+            reach |= mask
+            if a in fixed and b in fixed:
+                unsure.append((a, b, mask))
+            else:
+                reach_open |= mask
+                leaves_open.add(a)
+    targets = _target_mask(prep, applied)
+    if targets & ~reach:
+        return "cover"
+    # shut tests only for pairs that could still cover a target or open a
+    # deep anchor's margin row
+    need = targets & ~reach_open
+    deep = {a for a, x in fixed.items() if x > 1 and a not in leaves_open}
+    for a, b, mask in unsure:
+        if not (mask & need or a in deep):
+            continue
+        if a[0] == b[0]:
+            shut = _self_shut(prep, a[0], fixed[a], fixed[b])
+        else:
+            shut = _cross_shut(prep, a, b, fixed[a], fixed[b])
+        if not shut:
+            need &= ~mask
+            deep.discard(a)
+    if need:
+        return "const-cover"
+    if deep:
+        return "const-margin"
+    return None
+
+
 def apply_guess(prep: PreparedInstance, ctx: GuessContext) -> AppliedGuess:
     """Work out what a guess forces, without editing the fixpoint graph.
 
@@ -263,14 +403,11 @@ def emit_ilp(prep: PreparedInstance, applied: AppliedGuess) -> tuple[IlpModel, d
     for pair in z_cross:
         if classes[pair[0][0]] != LEAFED or classes[pair[1][0]] != LEAFED:
             helper[pair] = tuple(model.add_variable(0, 1) for _ in range(3))
-    fixed: dict[tuple[int, int], int] = {}
+    fixed = _fixed_offsets(prep, applied)
     placed: dict[tuple[int, int], int] = {}
     for i in active:
-        h = fed.paths[i].h
-        if classes[i] == LEAFED:
-            fixed[(i, 0)] = applied.leafed[i][0]
-            fixed[(i, 1)] = h - applied.leafed[i][-1]
-        else:
+        if classes[i] != LEAFED:
+            h = fed.paths[i].h
             placed[(i, 0)] = model.add_variable(0, h)
             placed[(i, 1)] = model.add_variable(0, h)
 
@@ -317,46 +454,37 @@ def emit_ilp(prep: PreparedInstance, applied: AppliedGuess) -> tuple[IlpModel, d
     # an ordered cross pair may claim its through route only if that route
     # is no longer than any of the three detours around a segment end
     for (a, b), gate in z_cross.items():
+        if (a, b) not in helper:
+            if _cross_shut(prep, a, b, fixed[a], fixed[b]):
+                model.add_constraint([(gate, 1)], "<=", 0)
+            continue
         ia, ra = a
         ib, rb = b
         ha, hb = fed.paths[ia].h, fed.paths[ib].h
         va, wa = end[a], end[(ia, 1 - ra)]
         vb, wb = end[b], end[(ib, 1 - rb)]
-        if (a, b) in helper:
-            through = [offset(a), offset(b), ([], dist[va][vb])]
-            detours = (
-                [offset(a), neg(offset(b)), ([], dist[va][wb] + hb)],
-                [neg(offset(a)), offset(b), ([], dist[wa][vb] + ha)],
-                [neg(offset(a)), neg(offset(b)), ([], dist[wa][wb] + ha + hb)],
-            )
-            for flag, detour in zip(helper[(a, b)], detours):
-                route_gap(flag, through, detour)
-            f1, f2, f3 = helper[(a, b)]
-            model.add_constraint([(f1, 1), (f2, 1), (f3, 1), (gate, -3)], ">=", 0)
-        else:
-            xa, xb = fixed[a], fixed[b]
-            length = xa + dist[va][vb] + xb
-            alts = (
-                xa + dist[va][wb] + hb - xb,
-                ha - xa + dist[wa][vb] + xb,
-                ha - xa + dist[wa][wb] + hb - xb,
-            )
-            if length > min(alts):
-                model.add_constraint([(gate, 1)], "<=", 0)
+        through = [offset(a), offset(b), ([], dist[va][vb])]
+        detours = (
+            [offset(a), neg(offset(b)), ([], dist[va][wb] + hb)],
+            [neg(offset(a)), offset(b), ([], dist[wa][vb] + ha)],
+            [neg(offset(a)), neg(offset(b)), ([], dist[wa][wb] + ha + hb)],
+        )
+        for flag, detour in zip(helper[(a, b)], detours):
+            route_gap(flag, through, detour)
+        f1, f2, f3 = helper[(a, b)]
+        model.add_constraint([(f1, 1), (f2, 1), (f3, 1), (gate, -3)], ">=", 0)
 
     # within one segment, the outside route between the two placements may
     # be claimed only if it is no longer than the inside stretch
     for a, gate in z_self.items():
         i, r = a
-        h = fed.paths[i].h
-        d = dist[fed.paths[i].left][fed.paths[i].right]
         other = (i, 1 - r)
         if a in fixed:
-            through = fixed[a] + d + fixed[other]
-            inside = h - fixed[a] - fixed[other]
-            if through > inside:
+            if _self_shut(prep, i, fixed[a], fixed[other]):
                 model.add_constraint([(gate, 1)], "<=", 0)
         else:
+            h = fed.paths[i].h
+            d = dist[fed.paths[i].left][fed.paths[i].right]
             xa, xo = placed[a], placed[other]
             model.add_constraint([(xa, 2), (xo, 2), (gate, big)], "<=", big + h - d)
 
@@ -515,23 +643,42 @@ def _effective_items(
             heapq.heappush(heap, (size + 1, popcount, mask, total + 1, chosen))
 
 
+# where a guess ended, each counted in ``SolveResult.stats`` under its name
+OUTCOMES = (
+    "guesses_refuted_cover",
+    "guesses_refuted_const",
+    "ilp_root_infeasible",
+    "ilp_search_infeasible",
+    "ilp_feasible",
+    "ilp_budget_exhausted",
+)
+
+
 def _process_guess(
     prep: PreparedInstance, ctx: GuessContext, node_budget: int | None
 ) -> tuple[str, int, tuple[int, ...] | None]:
+    """Decide one guess: its outcome (see ``OUTCOMES``), the ILP nodes it
+    took and, when feasible, the certified solution of the fixpoint graph."""
     applied = apply_guess(prep, ctx)
+    refuted = refute_guess(prep, applied)
+    if refuted == "cover":
+        return "guesses_refuted_cover", 0, None
+    if refuted is not None:
+        return "guesses_refuted_const", 0, None
     model, meta = emit_ilp(prep, applied)
     res = solve_ilp(model, node_budget=node_budget)
     if res.status == BUDGET_EXHAUSTED:
-        return "exhausted", res.nodes, None
+        return "ilp_budget_exhausted", res.nodes, None
     if res.status == INFEASIBLE:
-        return "infeasible", res.nodes, None
+        kind = "ilp_search_infeasible" if res.nodes else "ilp_root_infeasible"
+        return kind, res.nodes, None
     assert res.assignment is not None
     solution = reconstruct(prep, applied, res.assignment, meta)
     graph, labels = prep.work.to_graph()
     index = {lab: j for j, lab in enumerate(labels)}
     if not is_geodetic(graph, [index[v] for v in solution]):
         raise VerificationError(f"reduced-graph solution {solution} is not geodetic")
-    return "feasible", res.nodes, solution
+    return "ilp_feasible", res.nodes, solution
 
 
 def _solve_guesses(
@@ -542,13 +689,15 @@ def _solve_guesses(
     min_exhausted: int | None = None
     nodes_total = 0
     generated = 0
+    outcomes = dict.fromkeys(OUTCOMES, 0)
     for size, _seq, ctx in _effective_items(prep):
         kind, nodes, witness = _process_guess(prep, ctx, node_budget)
         generated += 1
         nodes_total += nodes
-        if kind == "exhausted":
+        outcomes[kind] += 1
+        if kind == "ilp_budget_exhausted":
             min_exhausted = size if min_exhausted is None else min(min_exhausted, size)
-        elif kind == "feasible":
+        elif kind == "ilp_feasible":
             best, best_witness = size, witness
             break
     if best is None and min_exhausted is None:
@@ -559,6 +708,7 @@ def _solve_guesses(
     stats = {
         "guesses_generated": generated,
         "ilp_nodes": nodes_total,
+        **outcomes,
     }
     return status, best, best_witness, min_exhausted, stats
 

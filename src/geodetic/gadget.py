@@ -98,9 +98,16 @@ def build_gadget(
     ``vertical_coefficient`` scales the y encoding in vertical gadgets (the
     horizontal encoding is fixed at 2).  Both 1 and 2 yield a working
     selector; the coefficient never changes vertex or edge counts.
+
+    Tiling budgets m >= 3 are rejected: there the canonical set of a valid
+    tiling is not always geodetic (for instance with k = 2, m = 3, n = 1
+    and the planted instance of seed 1), so the construction does not
+    encode the instance.
     """
     if inst.k % 2 != 0:
         raise GadgetError("grid size k must be even for consistent parity wiring")
+    if inst.m >= 3:
+        raise GadgetError("tiling budget m >= 3 is not supported by the construction")
     if vertical_coefficient not in (1, 2):
         raise GadgetError("vertical coefficient must be 1 or 2")
     k, m, n = inst.k, inst.m, inst.n

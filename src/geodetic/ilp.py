@@ -9,6 +9,7 @@ which makes runs deterministic.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -110,35 +111,69 @@ def solve(model: IlpModel, node_budget: int | None = None) -> IlpResult:
             else:
                 hi[v] = old
 
-    def propagate() -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for coeffs, rhs in rows:
-                min_act = 0
-                for v, c in coeffs:
-                    min_act += c * lo[v] if c > 0 else c * hi[v]
-                if min_act > rhs:
+    # each variable's rows, for the queue of rows whose bounds may tighten
+    rows_of: list[list[int]] = [[] for _ in ids]
+    for r, (coeffs, _rhs) in enumerate(rows):
+        for v, _c in coeffs:
+            rows_of[v].append(r)
+    queue: deque[int] = deque()
+    queued = bytearray(len(rows))
+
+    def tighten(r: int) -> bool:
+        """Apply row r to the bounds once; False when it cannot hold.
+
+        The row's own tightenings leave its minimum activity unchanged, so
+        only the other rows of a tightened variable are queued again.
+        """
+        coeffs, rhs = rows[r]
+        min_act = 0
+        for v, c in coeffs:
+            min_act += c * lo[v] if c > 0 else c * hi[v]
+        if min_act > rhs:
+            return False
+        for v, c in coeffs:
+            if lo[v] == hi[v]:
+                continue
+            contrib = c * lo[v] if c > 0 else c * hi[v]
+            allowed = rhs - (min_act - contrib)
+            if c > 0:
+                bound = allowed // c
+                if bound >= hi[v]:
+                    continue
+                if bound < lo[v]:
                     return False
-                for v, c in coeffs:
-                    if lo[v] == hi[v]:
-                        continue
-                    contrib = c * lo[v] if c > 0 else c * hi[v]
-                    allowed = rhs - (min_act - contrib)
-                    if c > 0:
-                        bound = allowed // c
-                        if bound < hi[v]:
-                            if bound < lo[v]:
-                                return False
-                            set_hi(v, bound)
-                            changed = True
-                    else:
-                        bound = -(allowed // (-c))
-                        if bound > lo[v]:
-                            if bound > hi[v]:
-                                return False
-                            set_lo(v, bound)
-                            changed = True
+                set_hi(v, bound)
+            else:
+                bound = -(allowed // (-c))
+                if bound <= lo[v]:
+                    continue
+                if bound > hi[v]:
+                    return False
+                set_lo(v, bound)
+            for q in rows_of[v]:
+                if not queued[q] and q != r:
+                    queued[q] = 1
+                    queue.append(q)
+        return True
+
+    def propagate(pending: Sequence[int]) -> bool:
+        """Tighten bounds from the pending rows until no bound moves.
+
+        Tightening is monotone, so the fixpoint, and whether it is empty,
+        does not depend on the order the queued rows are taken in.
+        """
+        for r in pending:
+            if not queued[r]:
+                queued[r] = 1
+                queue.append(r)
+        while queue:
+            r = queue.popleft()
+            queued[r] = 0
+            if not tighten(r):
+                for q in queue:
+                    queued[q] = 0
+                queue.clear()
+                return False
         return True
 
     def next_var() -> tuple[int, bool] | None:
@@ -156,7 +191,7 @@ def solve(model: IlpModel, node_budget: int | None = None) -> IlpResult:
         return None
 
     nodes = 0
-    if not propagate():
+    if not propagate(range(len(rows))):
         return IlpResult(INFEASIBLE, None, nodes)
     stack: list[list] = []  # frames [var, tried, trail mark, upper first]
     state = "descend"
@@ -189,4 +224,4 @@ def solve(model: IlpModel, node_budget: int | None = None) -> IlpResult:
                 set_lo(v, mid + 1)
             else:
                 set_hi(v, mid)
-            state = "descend" if propagate() else "branch"
+            state = "descend" if propagate(rows_of[v]) else "branch"

@@ -209,6 +209,19 @@ def test_generate_gadget_emits_solution_that_verifies(tmp_path, capsys):
     assert "status geodetic" in out
 
 
+def test_generate_gadget_rejects_budget_three(tmp_path, capsys):
+    # at m = 3 the planted set is not always geodetic, so nothing is written
+    prefix = str(tmp_path / "gad")
+    code = main(
+        ["generate", "gadget", "--k", "2", "--m", "3", "--n", "1",
+         "--planted", "yes", "--seed", "1", "--out", prefix]
+    )
+    assert code == 2
+    assert "m >= 3" in capsys.readouterr().err
+    assert not (tmp_path / "gad.solution").exists()
+    assert not (tmp_path / "gad.graph").exists()
+
+
 def test_deterministic_reports_are_byte_identical(tmp_path, capsys):
     path = write_graph(tmp_path, "c9.graph", cycle_graph(9))
     _code, first = run(capsys, ["solve", path, "--deterministic"])

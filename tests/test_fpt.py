@@ -369,6 +369,52 @@ def test_dense_hub_instance_stays_cheap():
     assert res.stats["ilp_nodes"] < 5000
 
 
+def test_guess_outcomes_add_up(rng):
+    # every guess ends in exactly one of the outcome counters
+    totals = dict.fromkeys(fpt.OUTCOMES, 0)
+    for budget in (None, 30):
+        for _ in range(12):
+            fen = rng.randint(2, 9)
+            res = solve_fpt(random_fen_graph(rng.randint(fen + 4, 20), fen, rng),
+                            node_budget=budget)
+            if res.algorithm != "guess-ilp":
+                continue
+            assert sum(res.stats[k] for k in fpt.OUTCOMES) == res.stats[
+                "guesses_generated"
+            ]
+            if budget is None:
+                assert res.stats["ilp_feasible"] == 1
+                assert res.stats["ilp_budget_exhausted"] == 0
+            for k in fpt.OUTCOMES:
+                totals[k] += res.stats[k]
+    # an infeasible model that needs search is rare: 4 in 660 seeded solves
+    del totals["ilp_search_infeasible"]
+    assert min(totals.values()) > 0, totals
+
+
+def test_refuted_guesses_build_no_ilp(monkeypatch):
+    # count-based guard: only guesses that survive the refutation reach
+    # emit_ilp, so models are built for 5 of this graph's 16 guesses
+    built = []
+    real = fpt.emit_ilp
+
+    def counting(prep, applied):
+        built.append(applied.ctx)
+        return real(prep, applied)
+
+    monkeypatch.setattr(fpt, "emit_ilp", counting)
+    res = solve_fpt(random_fen_graph(18, 7, random.Random(9)))
+    stats = res.stats
+    survivors = (
+        stats["guesses_generated"]
+        - stats["guesses_refuted_cover"]
+        - stats["guesses_refuted_const"]
+    )
+    assert len(built) <= survivors <= 5
+    assert stats["guesses_generated"] == 16
+    assert stats["guesses_refuted_cover"] > 0 and stats["guesses_refuted_const"] > 0
+
+
 def test_answer_tracks_threshold():
     g = complete_graph(4)
     assert solve_fpt(g, k=4).answer is True

@@ -13,6 +13,7 @@ grafted copy.  They are kept here as the references for
 :func:`geodetic.fpt.reconstruct`.
 """
 
+import collections
 import itertools
 import random
 
@@ -26,10 +27,11 @@ from geodetic.fpt import (
     emit_ilp,
     prepare,
     reconstruct,
+    refute_guess,
 )
 from geodetic.generators import random_fen_graph
 from geodetic.graph import Graph, is_geodetic
-from geodetic.ilp import FEASIBLE, IlpModel, solve as solve_ilp
+from geodetic.ilp import FEASIBLE, INFEASIBLE, IlpModel, solve as solve_ilp
 from geodetic.reduction import (
     MutableGraph,
     TraceEntry,
@@ -415,3 +417,27 @@ def test_emit_ilp_matches_pairwise_reference():
                 verdicts[verdict] += 1
     assert models > 2_000
     assert min(verdicts) > 20
+
+
+def test_refuted_guesses_are_infeasible_at_the_ilp_root():
+    # the first 80 guesses of kernels with fen 2-9: each refuted one has a
+    # model that root propagation alone proves infeasible
+    draws = random.Random(35)
+    kinds = collections.Counter()
+    kernels = 0
+    while kernels < 40:
+        fen = draws.randint(2, 9)
+        red = reduce_to_fixpoint(random_fen_graph(draws.randint(fen + 4, 22), fen, draws))
+        if red.decomposition is None:
+            continue
+        kernels += 1
+        prep = prepare(red.graph, red.decomposition)
+        for _size, _seq, ctx in itertools.islice(_effective_items(prep), 80):
+            applied = apply_guess(prep, ctx)
+            kind = refute_guess(prep, applied)
+            kinds[kind] += 1
+            if kind is not None:
+                res = solve_ilp(emit_ilp(prep, applied)[0])
+                assert (res.status, res.nodes) == (INFEASIBLE, 0), (kind, ctx)
+    assert min(kinds[k] for k in ("cover", "const-cover", "const-margin")) >= 20
+    assert kinds[None] >= 200

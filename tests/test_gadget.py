@@ -57,6 +57,17 @@ def test_build_rejects_bad_parameters():
         build_gadget(uniform_instance(), vertical_coefficient=3)
 
 
+def test_build_rejects_budgets_from_three():
+    # seeds 1, 3 and 6 plant a set that is not geodetic at m = 3
+    for m in (3, 4):
+        inst, _sol = random_yes_instance(2, m, 1, random.Random(1))
+        with pytest.raises(GadgetError):
+            build_gadget(inst)
+    inst, _sol = random_yes_instance(2, 2, 1, random.Random(1))
+    gadget = build_gadget(inst)
+    assert is_geodetic(gadget.graph, canonical_solution(gadget))
+
+
 def test_rebuild_is_byte_identical():
     a = build_gadget(uniform_instance())
     b = build_gadget(uniform_instance())

@@ -1,22 +1,174 @@
 from __future__ import annotations
 
+import itertools
 import random
 from itertools import product
 
 import pytest
 
+from geodetic.fpt import _effective_items, apply_guess, emit_ilp, prepare
+from geodetic.generators import random_fen_graph
 from geodetic.ilp import (
     BUDGET_EXHAUSTED,
     FEASIBLE,
     INFEASIBLE,
     IlpError,
     IlpModel,
+    IlpResult,
     solve,
 )
+from geodetic.reduction import reduce_to_fixpoint
 
 
 def fresh_model() -> IlpModel:
     return IlpModel([], [])
+
+
+def reference_normalized(model):
+    """Reference: all constraints as (coeffs, rhs) in <= form, duplicate
+    terms merged."""
+    rows = []
+    for con in model.constraints:
+        merged: dict[int, int] = {}
+        for vid, c in con.coeffs:
+            merged[vid] = merged.get(vid, 0) + c
+        items = tuple(sorted((v, c) for v, c in merged.items() if c != 0))
+        if con.sense == "<=":
+            rows.append((items, con.rhs))
+        else:
+            rows.append((tuple((v, -c) for v, c in items), -con.rhs))
+    return rows
+
+
+def reference_solve(model, node_budget=None):
+    """Reference: the solver that re-swept every row until no bound moved."""
+    rows = reference_normalized(model)
+    ids = [v.id for v in model.variables]
+    lo = {v.id: v.lo for v in model.variables}
+    hi = {v.id: v.hi for v in model.variables}
+    for v in model.variables:
+        if v.lo > v.hi:
+            raise IlpError(f"variable {v.id} has empty domain")
+
+    trail: list[tuple[int, int, int]] = []  # (var, 0=lo/1=hi, old value)
+
+    def set_lo(v: int, val: int) -> None:
+        trail.append((v, 0, lo[v]))
+        lo[v] = val
+
+    def set_hi(v: int, val: int) -> None:
+        trail.append((v, 1, hi[v]))
+        hi[v] = val
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            v, which, old = trail.pop()
+            if which == 0:
+                lo[v] = old
+            else:
+                hi[v] = old
+
+    def propagate() -> bool:
+        changed = True
+        while changed:
+            changed = False
+            for coeffs, rhs in rows:
+                min_act = 0
+                for v, c in coeffs:
+                    min_act += c * lo[v] if c > 0 else c * hi[v]
+                if min_act > rhs:
+                    return False
+                for v, c in coeffs:
+                    if lo[v] == hi[v]:
+                        continue
+                    contrib = c * lo[v] if c > 0 else c * hi[v]
+                    allowed = rhs - (min_act - contrib)
+                    if c > 0:
+                        bound = allowed // c
+                        if bound < hi[v]:
+                            if bound < lo[v]:
+                                return False
+                            set_hi(v, bound)
+                            changed = True
+                    else:
+                        bound = -(allowed // (-c))
+                        if bound > lo[v]:
+                            if bound > hi[v]:
+                                return False
+                            set_lo(v, bound)
+                            changed = True
+        return True
+
+    def next_var() -> tuple[int, bool] | None:
+        """Unfixed variable from the first row not yet settled for every
+        completion, with the half to try first; None means all rows are."""
+        for coeffs, rhs in rows:
+            max_act = 0
+            for v, c in coeffs:
+                max_act += c * hi[v] if c > 0 else c * lo[v]
+            if max_act <= rhs:
+                continue
+            for v, c in coeffs:
+                if lo[v] < hi[v]:
+                    return v, c < 0
+        return None
+
+    nodes = 0
+    if not propagate():
+        return IlpResult(INFEASIBLE, None, nodes)
+    stack: list[list] = []  # frames [var, tried, trail mark, upper first]
+    state = "descend"
+    while True:
+        if state == "descend":
+            if node_budget is not None and nodes >= node_budget:
+                return IlpResult(BUDGET_EXHAUSTED, None, nodes)
+            nodes += 1
+            pick = next_var()
+            if pick is None:
+                assignment = {i: lo[i] for i in ids}
+                for coeffs, rhs in rows:
+                    assert sum(c * assignment[i] for i, c in coeffs) <= rhs
+                return IlpResult(FEASIBLE, assignment, nodes)
+            stack.append([pick[0], 0, len(trail), pick[1]])
+            state = "branch"
+        else:  # branch
+            if not stack:
+                return IlpResult(INFEASIBLE, None, nodes)
+            frame = stack[-1]
+            v, tried, mark, upper_first = frame
+            undo(mark)
+            mid = (lo[v] + hi[v]) // 2
+            if tried == 2:
+                stack.pop()
+                continue
+            frame[1] = tried + 1
+            take_upper = upper_first == (tried == 0)
+            if take_upper:
+                set_lo(v, mid + 1)
+            else:
+                set_hi(v, mid)
+            state = "descend" if propagate() else "branch"
+
+
+def random_model(rng: random.Random) -> IlpModel:
+    """A model of up to four small-domain variables and up to five rows."""
+    m = fresh_model()
+    nvars = rng.randrange(1, 5)
+    for _ in range(nvars):
+        lo = rng.randrange(-2, 2)
+        m.add_variable(lo, lo + rng.randrange(0, 5))
+    for _ in range(rng.randrange(1, 6)):
+        coeffs = [
+            (v, rng.randrange(-3, 4))
+            for v in range(nvars)
+            if rng.random() < 0.8
+        ]
+        sense = "<=" if rng.random() < 0.5 else ">="
+        m.add_constraint(coeffs, sense, rng.randrange(-6, 11))
+    return m
+
+
+BUDGETS = (1, 30, None)
 
 
 def brute_force_feasible(model: IlpModel) -> bool:
@@ -155,18 +307,49 @@ def test_rejects_bad_model():
 
 def test_matches_brute_force(rng: random.Random):
     for _ in range(150):
-        m = fresh_model()
-        nvars = rng.randrange(1, 5)
-        for _ in range(nvars):
-            lo = rng.randrange(-2, 2)
-            m.add_variable(lo, lo + rng.randrange(0, 5))
-        for _ in range(rng.randrange(1, 6)):
-            coeffs = [
-                (v, rng.randrange(-3, 4))
-                for v in range(nvars)
-                if rng.random() < 0.8
-            ]
-            sense = "<=" if rng.random() < 0.5 else ">="
-            m.add_constraint(coeffs, sense, rng.randrange(-6, 11))
+        m = random_model(rng)
         got = solve(m)
         assert (got.status == FEASIBLE) == brute_force_feasible(m)
+
+
+def test_row_queue_matches_full_sweep_on_random_models(rng: random.Random):
+    # the models of test_matches_brute_force, then larger ones with more rows
+    statuses = set()
+    for trial in range(600):
+        m = random_model(rng)
+        if trial >= 150:
+            for _ in range(rng.randrange(0, 8)):
+                m.add_variable(0, rng.randrange(1, 4))
+            n = len(m.variables)
+            for _ in range(rng.randrange(2, 12)):
+                coeffs = [(rng.randrange(n), rng.randrange(-3, 4)) for _ in range(3)]
+                sense = "<=" if rng.random() < 0.5 else ">="
+                m.add_constraint(coeffs, sense, rng.randrange(-4, 8))
+        for budget in BUDGETS:
+            got = solve(m, node_budget=budget)
+            assert got == reference_solve(m, node_budget=budget)
+            statuses.add(got.status)
+    assert statuses == {FEASIBLE, INFEASIBLE, BUDGET_EXHAUSTED}
+
+
+def test_row_queue_matches_full_sweep_on_emitted_models():
+    # guess models of dense graphs (n 14-24, fen 5-9), refuted guesses too,
+    # up to each graph's first feasible guess
+    draws = random.Random(9)
+    seen = {FEASIBLE: 0, INFEASIBLE: 0, BUDGET_EXHAUSTED: 0}
+    searched = 0
+    while min(seen.values()) < 20 or searched < 20:
+        g = random_fen_graph(draws.randint(14, 24), draws.randint(5, 9), draws)
+        red = reduce_to_fixpoint(g)
+        if red.decomposition is None:
+            continue
+        prep = prepare(red.graph, red.decomposition)
+        for _size, _seq, ctx in itertools.islice(_effective_items(prep), 40):
+            model, _meta = emit_ilp(prep, apply_guess(prep, ctx))
+            for budget in BUDGETS:
+                got = solve(model, node_budget=budget)
+                assert got == reference_solve(model, node_budget=budget)
+                seen[got.status] += 1
+            searched += got.nodes > 1
+            if got.status == FEASIBLE:
+                break
