@@ -29,6 +29,7 @@ from geodetic.graph import (
     diameter,
     feedback_edge_number,
     format_graph,
+    induced_subgraph,
     interval_closure,
     is_connected,
     parse_graph,
@@ -67,14 +68,6 @@ def _read_graph(path: str) -> Graph:
         return parse_graph(fh.read())
 
 
-def _induced(g: Graph, vertices: list[int]) -> tuple[Graph, list[int]]:
-    index = {v: i for i, v in enumerate(vertices)}
-    edges = [
-        (index[u], index[v]) for u, v in g.edges() if u in index and v in index
-    ]
-    return Graph(len(vertices), edges), vertices
-
-
 def _solve_component(sub: Graph, algo: str, args) -> tuple[str, int | None, tuple[int, ...] | None, str]:
     """Returns (status, optimum, witness, algorithm actually used)."""
     if algo == "auto":
@@ -103,7 +96,7 @@ def cmd_solve(args) -> int:
     witness: list[int] = []
     status = OPTIMAL
     for ci, comp in enumerate(comps):
-        sub, back = _induced(g, comp)
+        sub = induced_subgraph(g, comp)
         st, opt, wit, used = _solve_component(sub, args.algo, args)
         if args.cross_check:
             other = "brute" if used.startswith("fpt") else "fpt"
@@ -127,7 +120,7 @@ def cmd_solve(args) -> int:
             status = UNKNOWN
             continue
         total += opt
-        witness.extend(back[v] for v in wit)
+        witness.extend(comp[v] for v in wit)
     report.line("status", status)
     if status == OPTIMAL:
         report.line("optimum", total)

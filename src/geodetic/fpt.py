@@ -6,9 +6,9 @@ through guess enumeration: which unleafed branch vertices join the
 solution, and how many solution vertices sit in the interior of each
 unleafed segment.  A guess fixes the candidate size outright and leaves
 only the exact placements open, which a small integer feasibility program
-decides, unless the memoised route covers refute the guess before the
-program is built.  Guesses are processed in order of candidate size, so the first
-feasible one realizes the optimum of the reduced graph.
+decides, unless the memoised route masks refute the guess before the
+program is built.  Guesses are processed in order of candidate size, so the
+first feasible one realizes the optimum of the reduced graph.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ PAIR = "pair"  # exactly two interior solution vertices
 _COUNT_CLASS = (EMPTY, SINGLE, PAIR)
 
 Expr = tuple[list[tuple[int, int]], int]
+Anchor = tuple[int, int]  # end r of segment i, as (i, r)
 
 
 @dataclass(frozen=True)
@@ -74,9 +75,9 @@ class GuessContext:
 class PreparedInstance:
     """Fixpoint graph with everything the guess loop reads over and over.
 
-    ``route_covers`` memoises :func:`route_cover` per ordered pair of
-    segment ends, and ``route_masks`` the same covers as bitmasks for
-    :func:`refute_guess`; both fill as guesses reach the pairs.
+    ``route_masks`` memoises :func:`_route_mask` per ordered pair of
+    segment ends for :func:`refute_guess` and :func:`emit_ilp`; it fills as
+    guesses reach the pairs.
     """
 
     work: MutableGraph
@@ -85,9 +86,6 @@ class PreparedInstance:
     empty_segments: tuple[int, ...]
     dist: dict[int, dict[int, int]]
     leaf_count: int
-    route_covers: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = (
-        field(default_factory=dict)
-    )
     route_masks: dict[tuple[int, int], int] = field(default_factory=dict)
 
 
@@ -164,41 +162,23 @@ def candidate_size(prep: PreparedInstance, ctx: GuessContext) -> int:
     return base + sum(c for _i, c in ctx.interior_counts)
 
 
-def route_cover(
-    prep: PreparedInstance, va: int, vb: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Empty segments (h >= 2) and open branch vertices on a shortest va-vb path.
-
-    A segment counts when it can be crossed end to end on such a path.
-    Both parts follow the order of ``prep.empty_segments`` and
-    ``prep.open_branch``.  Computed once per pair and kept in
-    ``prep.route_covers``.
-    """
-    cover = prep.route_covers.get((va, vb))
-    if cover is None:
-        paths = prep.fed.paths
-        row_a, row_b = prep.dist[va], prep.dist[vb]
-        d = row_a[vb]
-        segments = tuple(
-            i
-            for i in prep.empty_segments
-            if paths[i].h >= 2
-            and row_a[paths[i].left] + paths[i].h + row_b[paths[i].right] == d
-        )
-        vertices = tuple(v for v in prep.open_branch if row_a[v] + row_b[v] == d)
-        cover = prep.route_covers[(va, vb)] = (segments, vertices)
-    return cover
-
-
 def _route_mask(prep: PreparedInstance, va: int, vb: int) -> int:
-    """:func:`route_cover` as a bitmask of targets (see :func:`_target_mask`),
-    stored in ``prep.route_masks``; callers look there first."""
-    segments, vertices = route_cover(prep, va, vb)
-    on_route = set(vertices)
-    shift = len(prep.fed.paths)
-    mask = sum(1 << i for i in segments) | sum(
-        1 << (shift + j) for j, v in enumerate(prep.open_branch) if v in on_route
-    )
+    """The targets on a shortest va-vb path as a bitmask (see
+    :func:`_target_mask`): empty segments with h >= 2 that such a path can
+    cross end to end, and open branch vertices.  Stored in
+    ``prep.route_masks``; callers look there first."""
+    paths = prep.fed.paths
+    row_a, row_b = prep.dist[va], prep.dist[vb]
+    d = row_a[vb]
+    mask = 0
+    for i in prep.empty_segments:
+        p = paths[i]
+        if p.h >= 2 and row_a[p.left] + p.h + row_b[p.right] == d:
+            mask |= 1 << i
+    shift = len(paths)
+    for j, v in enumerate(prep.open_branch):
+        if row_a[v] + row_b[v] == d:
+            mask |= 1 << (shift + j)
     prep.route_masks[(va, vb)] = mask
     return mask
 
@@ -233,6 +213,26 @@ def _fixed_offsets(
 
 def _end(path: PathRecord, r: int) -> int:
     return path.right if r else path.left
+
+
+def _anchor_pairs(
+    prep: PreparedInstance, classes: tuple[str, ...]
+) -> list[tuple[Anchor, Anchor, int, int]]:
+    """Ordered pairs of anchors, the ends (i, r) of every segment that is not
+    empty, each with the two end vertices: first the pairs across segments
+    in anchors x anchors order, then each end with the other end of its own
+    segment.  :func:`emit_ilp` numbers its route gates in this order."""
+    paths = prep.fed.paths
+    ends = [
+        ((i, r), _end(paths[i], r))
+        for i, c in enumerate(classes)
+        if c != EMPTY
+        for r in (0, 1)
+    ]
+    pairs = [(a, b, va, vb) for a, va in ends for b, vb in ends if a[0] != b[0]]
+    for (a, va), (b, vb) in zip(ends[::2], ends[1::2]):
+        pairs += [(a, b, va, vb), (b, a, vb, va)]
+    return pairs
 
 
 def _cross_shut(
@@ -276,32 +276,22 @@ def refute_guess(prep: PreparedInstance, applied: AppliedGuess) -> str | None:
     than 1 has no open gate leaving its end, and None otherwise.  Each case
     is a row of the program that root propagation proves infeasible.
     """
-    paths = prep.fed.paths
     fixed = _fixed_offsets(prep, applied)
-    anchors = [
-        ((i, r), _end(paths[i], r))
-        for i, c in enumerate(applied.classes)
-        if c != EMPTY
-        for r in (0, 1)
-    ]
     masks = prep.route_masks
     reach = reach_open = 0
     leaves_open = set()
     # pairs of two fixed placements, whose gates the constants may shut
-    unsure: list[tuple[tuple[int, int], tuple[int, int], int]] = []
-    for a, va in anchors:
-        for b, vb in anchors:
-            if a == b:
-                continue
-            mask = masks.get((va, vb))
-            if mask is None:
-                mask = _route_mask(prep, va, vb)
-            reach |= mask
-            if a in fixed and b in fixed:
-                unsure.append((a, b, mask))
-            else:
-                reach_open |= mask
-                leaves_open.add(a)
+    unsure: list[tuple[Anchor, Anchor, int]] = []
+    for a, b, va, vb in _anchor_pairs(prep, applied.classes):
+        mask = masks.get((va, vb))
+        if mask is None:
+            mask = _route_mask(prep, va, vb)
+        reach |= mask
+        if a in fixed and b in fixed:
+            unsure.append((a, b, mask))
+        else:
+            reach_open |= mask
+            leaves_open.add(a)
     targets = _target_mask(prep, applied)
     if targets & ~reach:
         return "cover"
@@ -370,48 +360,47 @@ def apply_guess(prep: PreparedInstance, ctx: GuessContext) -> AppliedGuess:
 def emit_ilp(prep: PreparedInstance, applied: AppliedGuess) -> tuple[IlpModel, dict]:
     """Build the placement feasibility program for one applied guess.
 
-    Variables, in branching order: route claims for ordered anchor pairs
-    across segments, route claims within a segment, short-margin flags,
-    route comparison helpers, and last the two placement offsets of every
-    single and pair segment.  Placements of leafed segments are constants
-    and fold into the rows instead of becoming variables.
+    Variables, in id order: route claims for the ordered anchor pairs of
+    :func:`_anchor_pairs` (across segments, then within a segment),
+    short-margin flags, route comparison helpers, and last the two
+    placement offsets of every single and pair segment.  Placements of
+    leafed segments are constants and fold into the rows instead of
+    becoming variables.
     """
-    fed = prep.fed
+    paths = prep.fed.paths
     dist = prep.dist
     classes = applied.classes
     # the edge count of the fixpoint with a leaf at every forced vertex
     big = 100 * (prep.work.m + len(applied.forced))
     active = [i for i, c in enumerate(classes) if c != EMPTY]
-    sweep = [i for i, c in enumerate(classes) if c == EMPTY]
     anchors = [(i, r) for i in active for r in (0, 1)]
+    pairs = _anchor_pairs(prep, classes)
     model = IlpModel([], [])
 
-    end: dict[tuple[int, int], int] = {}
-    for i in active:
-        end[(i, 0)], end[(i, 1)] = fed.paths[i].left, fed.paths[i].right
-
-    z_cross = {}
-    cross_from: dict[tuple[int, int], list[int]] = {a: [] for a in anchors}
-    for a in anchors:
-        for b in anchors:
-            if a[0] != b[0]:
-                z_cross[(a, b)] = gate = model.add_variable(0, 1)
-                cross_from[a].append(gate)
-    z_self = {a: model.add_variable(0, 1) for a in anchors}
+    gates = [model.add_variable(0, 1) for _ in pairs]
+    z_cross: dict[tuple[Anchor, Anchor], int] = {}
+    z_self: dict[Anchor, int] = {}
+    cross_from: dict[Anchor, list[int]] = {a: [] for a in anchors}
+    for (a, b, _va, _vb), gate in zip(pairs, gates):
+        if a[0] != b[0]:
+            z_cross[(a, b)] = gate
+            cross_from[a].append(gate)
+        else:
+            z_self[a] = gate
     margin_ok = {a: model.add_variable(0, 1) for a in anchors}
     helper = {}
     for pair in z_cross:
         if classes[pair[0][0]] != LEAFED or classes[pair[1][0]] != LEAFED:
             helper[pair] = tuple(model.add_variable(0, 1) for _ in range(3))
     fixed = _fixed_offsets(prep, applied)
-    placed: dict[tuple[int, int], int] = {}
+    placed: dict[Anchor, int] = {}
     for i in active:
         if classes[i] != LEAFED:
-            h = fed.paths[i].h
+            h = paths[i].h
             placed[(i, 0)] = model.add_variable(0, h)
             placed[(i, 1)] = model.add_variable(0, h)
 
-    def offset(a: tuple[int, int]) -> Expr:
+    def offset(a: Anchor) -> Expr:
         if a in fixed:
             return [], fixed[a]
         return [(placed[a], 1)], 0
@@ -439,8 +428,8 @@ def emit_ilp(prep: PreparedInstance, applied: AppliedGuess) -> tuple[IlpModel, d
     for i in active:
         if classes[i] == LEAFED:
             continue
-        h = fed.paths[i].h
-        d = dist[fed.paths[i].left][fed.paths[i].right]
+        h = paths[i].h
+        d = dist[paths[i].left][paths[i].right]
         xl, xr = placed[(i, 0)], placed[(i, 1)]
         model.add_constraint([(xl, 1)], ">=", 1)
         model.add_constraint([(xr, 1)], ">=", 1)
@@ -452,62 +441,46 @@ def emit_ilp(prep: PreparedInstance, applied: AppliedGuess) -> tuple[IlpModel, d
             model.add_constraint([(xl, -2), (xr, -2)], "<=", d - h)
 
     # an ordered cross pair may claim its through route only if that route
-    # is no longer than any of the three detours around a segment end
-    for (a, b), gate in z_cross.items():
-        if (a, b) not in helper:
+    # is no longer than any of the three detours around a segment end;
+    # within one segment, the outside route between the two placements may
+    # be claimed only if it is no longer than the inside stretch.  Every
+    # target (see _target_mask) must lie on a claimed route: one covering
+    # row per target, in bit order.
+    targets = _target_mask(prep, applied)
+    cover = {1 << t: [] for t in range(targets.bit_length()) if targets >> t & 1}
+    for (a, b, va, vb), gate in zip(pairs, gates):
+        mask = prep.route_masks.get((va, vb))
+        if mask is None:
+            mask = _route_mask(prep, va, vb)
+        hit = mask & targets
+        while hit:
+            cover[hit & -hit].append((gate, 1))
+            hit &= hit - 1
+        (ia, ra), (ib, rb) = a, b
+        if ia == ib:
+            if a in fixed:
+                if _self_shut(prep, ia, fixed[a], fixed[b]):
+                    model.add_constraint([(gate, 1)], "<=", 0)
+            else:
+                row = [(placed[a], 2), (placed[b], 2), (gate, big)]
+                model.add_constraint(row, "<=", big + paths[ia].h - dist[va][vb])
+        elif (a, b) not in helper:
             if _cross_shut(prep, a, b, fixed[a], fixed[b]):
                 model.add_constraint([(gate, 1)], "<=", 0)
-            continue
-        ia, ra = a
-        ib, rb = b
-        ha, hb = fed.paths[ia].h, fed.paths[ib].h
-        va, wa = end[a], end[(ia, 1 - ra)]
-        vb, wb = end[b], end[(ib, 1 - rb)]
-        through = [offset(a), offset(b), ([], dist[va][vb])]
-        detours = (
-            [offset(a), neg(offset(b)), ([], dist[va][wb] + hb)],
-            [neg(offset(a)), offset(b), ([], dist[wa][vb] + ha)],
-            [neg(offset(a)), neg(offset(b)), ([], dist[wa][wb] + ha + hb)],
-        )
-        for flag, detour in zip(helper[(a, b)], detours):
-            route_gap(flag, through, detour)
-        f1, f2, f3 = helper[(a, b)]
-        model.add_constraint([(f1, 1), (f2, 1), (f3, 1), (gate, -3)], ">=", 0)
-
-    # within one segment, the outside route between the two placements may
-    # be claimed only if it is no longer than the inside stretch
-    for a, gate in z_self.items():
-        i, r = a
-        other = (i, 1 - r)
-        if a in fixed:
-            if _self_shut(prep, i, fixed[a], fixed[other]):
-                model.add_constraint([(gate, 1)], "<=", 0)
         else:
-            h = fed.paths[i].h
-            d = dist[fed.paths[i].left][fed.paths[i].right]
-            xa, xo = placed[a], placed[other]
-            model.add_constraint([(xa, 2), (xo, 2), (gate, big)], "<=", big + h - d)
-
-    def ordered_pairs():
-        for (a, b), gate in z_cross.items():
-            yield a, b, gate
-        for a, gate in z_self.items():
-            yield a, (a[0], 1 - a[1]), gate
-
-    # every segment without solution vertices, and every unchosen open
-    # branch vertex, must lie on a claimed route
-    chosen = set(applied.ctx.chosen)
-    segment_rows = {i: [] for i in sweep if fed.paths[i].h >= 2}
-    branch_rows = {v: [] for v in prep.open_branch if v not in chosen}
-    for a, b, gate in ordered_pairs():
-        segments, vertices = route_cover(prep, end[a], end[b])
-        for i in segments:
-            if i in segment_rows:
-                segment_rows[i].append((gate, 1))
-        for v in vertices:
-            if v in branch_rows:
-                branch_rows[v].append((gate, 1))
-    for terms in itertools.chain(segment_rows.values(), branch_rows.values()):
+            ha, hb = paths[ia].h, paths[ib].h
+            wa, wb = _end(paths[ia], 1 - ra), _end(paths[ib], 1 - rb)
+            through = [offset(a), offset(b), ([], dist[va][vb])]
+            detours = (
+                [offset(a), neg(offset(b)), ([], dist[va][wb] + hb)],
+                [neg(offset(a)), offset(b), ([], dist[wa][vb] + ha)],
+                [neg(offset(a)), neg(offset(b)), ([], dist[wa][wb] + ha + hb)],
+            )
+            for flag, detour in zip(helper[(a, b)], detours):
+                route_gap(flag, through, detour)
+            f1, f2, f3 = helper[(a, b)]
+            model.add_constraint([(f1, 1), (f2, 1), (f3, 1), (gate, -3)], ">=", 0)
+    for terms in cover.values():
         model.add_constraint(terms, ">=", 1)
 
     # a placement deeper than one step from its segment end needs a claimed

@@ -33,6 +33,7 @@ from geodetic.graph import (
     Graph,
     connected_components,
     diameter,
+    induced_subgraph,
     interval_closure,
 )
 from geodetic.gridtiling import GridTilingInstance, Solution, grid_tiling_brute
@@ -257,12 +258,7 @@ def verify_structure(gadget: GadgetGraph) -> StructureReport:
     degree_one = sum(1 for v in range(g.n) if g.degree(v) == 1)
 
     hubs = set(gadget.plain_hubs) | set(gadget.starred_hubs)
-    keep = sorted(v for v in range(g.n) if v not in hubs)
-    index = {v: i for i, v in enumerate(keep)}
-    sub_edges = [
-        (index[u], index[v]) for u, v in g.edges() if u not in hubs and v not in hubs
-    ]
-    sub = Graph(len(keep), sub_edges)
+    sub = induced_subgraph(g, [v for v in range(g.n) if v not in hubs])
     forest = sub.m == sub.n - len(connected_components(sub))
 
     closure = interval_closure(g, gadget.pendants.values())

@@ -23,6 +23,8 @@ def random_fen_graph(n: int, fen: int, rng: random.Random) -> Graph:
     """
     if n < 1:
         raise GraphError("need at least one vertex")
+    if fen < 0:
+        raise GraphError("extra edge count must be non-negative")
     children: list[list[int]] = [[] for _ in range(n)]
     for i in range(1, n):
         children[rng.randrange(i)].append(i)
@@ -47,6 +49,8 @@ def cycle_with_leaves(length: int, leaves: int, rng: random.Random) -> Graph:
     """Cycle of the given length with pendant leaves on distinct positions."""
     if length < 3:
         raise GraphError("cycle length must be at least 3")
+    if leaves < 0:
+        raise GraphError("leaf count must be non-negative")
     if leaves > length:
         raise GraphError("at most one leaf per cycle position")
     supports = rng.sample(range(length), k=leaves)

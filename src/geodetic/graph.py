@@ -124,6 +124,15 @@ class DistanceOracle:
         return self.row(u)[v]
 
 
+def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
+    """The subgraph induced by ``vertices``, whose i-th entry becomes vertex i."""
+    index = {v: i for i, v in enumerate(vertices)}
+    edges = [
+        (index[u], index[v]) for u, v in g.edges() if u in index and v in index
+    ]
+    return Graph(len(vertices), edges)
+
+
 def connected_components(g: Graph) -> list[list[int]]:
     """Vertex lists of the connected components, each sorted, ordered by minimum."""
     seen = [False] * g.n

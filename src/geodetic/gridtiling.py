@@ -45,9 +45,6 @@ class GridTilingInstance:
                     if not (1 <= x <= self.m and 1 <= y <= self.m):
                         raise GridTilingError(f"entry ({x}, {y}) out of range")
 
-    def tile(self, i: int, j: int) -> tuple[Entry, ...]:
-        return self.tiles[i][j]
-
 
 def solution_valid(inst: GridTilingInstance, pick: Solution) -> bool:
     """Check the row/column agreement constraints for a full assignment."""
@@ -71,18 +68,7 @@ def grid_tiling_brute(inst: GridTilingInstance) -> Solution | None:
         pick = tuple(
             tuple(choice[i * k + j] for j in range(k)) for i in range(k)
         )
-        ok = True
-        for i in range(k):
-            for j in range(k):
-                if (
-                    pick[i][j][0] != pick[i][(j + 1) % k][0]
-                    or pick[i][j][1] != pick[(i + 1) % k][j][1]
-                ):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if solution_valid(inst, pick):
             return pick
     return None
 

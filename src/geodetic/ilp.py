@@ -2,9 +2,12 @@
 
 Pure-integer depth-first branch and bound with interval propagation; no
 floating point anywhere, so answers on the tiny models built here are exact
-by construction.  Branching follows variable id order (callers give decision
-binaries the smallest ids) and explores the lower half of a domain first,
-which makes runs deterministic.
+by construction.  Each search node branches on the first row, in model
+order, that some completion of the current bounds could still violate.  It
+splits that row's unfixed variable of smallest id and tries first the half
+that helps the row hold: the lower half where the variable raises the
+row's left side in ``<=`` form, the upper half otherwise.  Once no row can
+be violated, the lower bounds are a solution.  Runs are deterministic.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """Tests for the command-line front end."""
 
+import pytest
+
 from geodetic import fpt
 from geodetic.cli import main
 from geodetic.graph import Graph, feedback_edge_number, format_graph, parse_graph
@@ -193,6 +195,20 @@ def test_generate_cycle_leaves_plain_cycle(tmp_path, capsys):
     g = parse_graph((tmp_path / "cl.graph").read_text())
     assert (g.n, g.m) == (6, 6)
     assert all(len(g.adj[v]) == 2 for v in range(g.n))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["random-fen", "--n", "10", "--fen", "-1"],
+        ["cycle-leaves", "--length", "6", "--leaves", "-1"],
+    ],
+)
+def test_generate_negative_count_is_an_error(tmp_path, capsys, argv):
+    code = main(["generate", *argv, "--out", str(tmp_path / "neg")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error ")
+    assert not (tmp_path / "neg.graph").exists()
 
 
 def test_generate_gadget_emits_solution_that_verifies(tmp_path, capsys):

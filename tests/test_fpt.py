@@ -415,6 +415,33 @@ def test_refuted_guesses_build_no_ilp(monkeypatch):
     assert stats["guesses_refuted_cover"] > 0 and stats["guesses_refuted_const"] > 0
 
 
+def test_route_masks_are_computed_once_per_pair(monkeypatch):
+    # count-based guard: refutation and model building read one route
+    # table, so each ordered pair of segment ends is worked out once
+    computed, preps, built = [], [], []
+    real_mask, real_prepare, real_emit = fpt._route_mask, fpt.prepare, fpt.emit_ilp
+
+    def counting_mask(prep, va, vb):
+        computed.append((va, vb))
+        return real_mask(prep, va, vb)
+
+    def keeping_prepare(work, fed):
+        preps.append(real_prepare(work, fed))
+        return preps[-1]
+
+    def counting_emit(prep, applied):
+        built.append(applied.ctx)
+        return real_emit(prep, applied)
+
+    monkeypatch.setattr(fpt, "_route_mask", counting_mask)
+    monkeypatch.setattr(fpt, "prepare", keeping_prepare)
+    monkeypatch.setattr(fpt, "emit_ilp", counting_emit)
+    solve_fpt(random_fen_graph(18, 7, random.Random(9)))
+    (prep,) = preps
+    assert built and computed
+    assert sorted(computed) == sorted(prep.route_masks)
+
+
 def test_answer_tracks_threshold():
     g = complete_graph(4)
     assert solve_fpt(g, k=4).answer is True

@@ -2,7 +2,9 @@
 
 import random
 
-from geodetic.generators import random_fen_graph
+import pytest
+
+from geodetic.generators import cycle_with_leaves, random_fen_graph
 from geodetic.graph import Graph, GraphError, feedback_edge_number, is_connected
 
 
@@ -44,3 +46,15 @@ def test_random_fen_graph_matches_quadratic_reference():
         else:
             assert is_connected(got) and feedback_edge_number(got) == fen
     assert errors > 0  # the "cannot add" path was compared too
+
+
+@pytest.mark.parametrize(
+    "make, args",
+    [(random_fen_graph, (10, -1)), (cycle_with_leaves, (6, -1))],
+)
+def test_negative_counts_raise_before_drawing(make, args):
+    rng = random.Random(5)
+    state = rng.getstate()
+    with pytest.raises(GraphError, match="non-negative"):
+        make(*args, rng)
+    assert rng.getstate() == state
