@@ -11,19 +11,15 @@ from geodetic.gadget import (
     verify_structure,
 )
 from geodetic.graph import (
-    INF,
     DisconnectedError,
-    DistanceOracle,
     Graph,
     GraphError,
     GraphFormatError,
     VerificationError,
-    bfs_distances,
     connected_components,
     diameter,
     feedback_edge_number,
     format_graph,
-    interval,
     interval_closure,
     is_connected,
     is_geodetic,
@@ -38,13 +34,11 @@ from geodetic.gridtiling import (
     solution_valid,
 )
 from geodetic.ilp import IlpModel, IlpResult, solve as solve_ilp
-from geodetic.oracle import geodetic_number, min_geodetic_brute
+from geodetic.oracle import min_geodetic_brute
 from geodetic.reduction import ReductionResult, lift_witness, reduce_to_fixpoint
 
 __all__ = [
-    "INF",
     "DisconnectedError",
-    "DistanceOracle",
     "GadgetGraph",
     "Graph",
     "GraphError",
@@ -55,7 +49,6 @@ __all__ = [
     "ReductionResult",
     "SolveResult",
     "VerificationError",
-    "bfs_distances",
     "build_gadget",
     "canonical_solution",
     "connected_components",
@@ -63,9 +56,7 @@ __all__ = [
     "exhaustive_no_check",
     "feedback_edge_number",
     "format_graph",
-    "geodetic_number",
     "grid_tiling_brute",
-    "interval",
     "interval_closure",
     "is_connected",
     "is_geodetic",

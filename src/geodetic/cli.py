@@ -278,6 +278,9 @@ def cmd_generate(args) -> int:
             sys.stdout.write(format_graph(g))
         return 0
     # grid tiling instances, bare or wrapped in the hardness gadget
+    if args.kind == "gadget" and not args.out:
+        print("error gadget generation needs --out PREFIX", file=sys.stderr)
+        return 2
     if args.planted == "yes":
         inst, _sol = random_yes_instance(args.k, args.m, args.n, rng)
     elif args.planted == "no":
@@ -298,9 +301,6 @@ def cmd_generate(args) -> int:
     report.line("k_prime", gadget.k_prime)
     report.line("vertices", gadget.graph.n)
     report.line("edges", gadget.graph.m)
-    if not args.out:
-        print("error gadget generation needs --out PREFIX", file=sys.stderr)
-        return 2
     write(args.out + ".graph", format_graph(gadget.graph))
     write(args.out + ".registry", format_registry(gadget))
     write(args.out + ".tiles", format_grid_tiling(inst))

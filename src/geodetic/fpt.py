@@ -501,8 +501,6 @@ def emit_ilp(prep: PreparedInstance, applied: AppliedGuess) -> tuple[IlpModel, d
         "active": tuple(active),
         "fixed": dict(fixed),
         "placed": dict(placed),
-        "z_cross": dict(z_cross),
-        "z_self": dict(z_self),
     }
     return model, meta
 

@@ -1,18 +1,15 @@
 """Undirected simple graphs with shortest-path intervals.
 
-Vertices are the integers 0..n-1.  Distances are hop counts.  Unreachable
-pairs are reported with the float sentinel ``INF`` rather than a large
-integer, so that disconnectedness can never masquerade as a finite distance
-in downstream arithmetic.
+Vertices are the integers 0..n-1.  Distances are hop counts.  One
+breadth-first search, ``_bfs_order``, serves every distance query on a
+:class:`Graph`; it reports an unreachable vertex at distance -1, so a
+caller tests reachability with ``d < 0`` before doing arithmetic with it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from math import inf
 from typing import Iterable, Iterator, Sequence
-
-INF = inf
 
 
 class GraphError(ValueError):
@@ -90,40 +87,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def bfs_distances(g: Graph, source: int) -> list[int | float]:
-    """Hop distances from ``source`` to every vertex; INF if unreachable."""
-    if not 0 <= source < g.n:
-        raise GraphError(f"source {source} out of range")
-    dist: list[int | float] = [INF] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u] + 1
-        for v in g.adj[u]:
-            if dist[v] is INF:
-                dist[v] = du
-                queue.append(v)
-    return dist
-
-
-class DistanceOracle:
-    """Memoized per-source BFS rows for one graph, computed lazily."""
-
-    def __init__(self, g: Graph):
-        self.g = g
-        self._rows: dict[int, tuple[int | float, ...]] = {}
-
-    def row(self, source: int) -> tuple[int | float, ...]:
-        row = self._rows.get(source)
-        if row is None:
-            row = self._rows[source] = tuple(bfs_distances(self.g, source))
-        return row
-
-    def distance(self, u: int, v: int) -> int | float:
-        return self.row(u)[v]
-
-
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
     """The subgraph induced by ``vertices``, whose i-th entry becomes vertex i."""
     index = {v: i for i, v in enumerate(vertices)}
@@ -163,16 +126,6 @@ def is_connected(g: Graph) -> bool:
 def feedback_edge_number(g: Graph) -> int:
     """Edges minus vertices plus number of components (0 exactly for forests)."""
     return g.m - g.n + len(connected_components(g))
-
-
-def interval(g: Graph, dist: DistanceOracle, u: int, v: int) -> frozenset[int]:
-    """All vertices on at least one shortest u-v path (u and v included)."""
-    du = dist.row(u)
-    dv = dist.row(v)
-    duv = du[v]
-    if duv is INF:
-        raise DisconnectedError(f"vertices {u} and {v} are in different components")
-    return frozenset(w for w in range(g.n) if du[w] + dv[w] == duv)
 
 
 def _bfs_order(

@@ -1,4 +1,4 @@
-"""Grid tiling instances: generation, parsing, and brute-force solving.
+"""Grid tiling instances: generation, text output, and brute-force solving.
 
 An instance is a k-by-k grid of cells, each holding exactly n pairs from
 [1, m] x [1, m].  A solution picks one pair per cell so that horizontally
@@ -18,7 +18,7 @@ Solution = tuple[tuple[Entry, ...], ...]
 
 
 class GridTilingError(ValueError):
-    """Malformed instance or instance text."""
+    """Malformed instance, or generation parameters that admit none."""
 
 
 @dataclass(frozen=True)
@@ -71,42 +71,6 @@ def grid_tiling_brute(inst: GridTilingInstance) -> Solution | None:
         if solution_valid(inst, pick):
             return pick
     return None
-
-
-def parse_grid_tiling(text: str) -> GridTilingInstance:
-    """Parse ``k m n`` then k*k row-major lines of n ``x,y`` entries."""
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.lstrip().startswith("#")
-    ]
-    if not lines:
-        raise GridTilingError("empty instance text")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise GridTilingError(f"bad header line: {lines[0]!r}")
-    try:
-        k, m, n = (int(x) for x in head)
-    except ValueError as exc:
-        raise GridTilingError(f"bad header line: {lines[0]!r}") from exc
-    if len(lines) - 1 != k * k:
-        raise GridTilingError(f"expected {k * k} cell lines, found {len(lines) - 1}")
-    rows: list[tuple[tuple[Entry, ...], ...]] = []
-    flat: list[tuple[Entry, ...]] = []
-    for ln in lines[1:]:
-        entries = []
-        for token in ln.split():
-            parts = token.split(",")
-            if len(parts) != 2:
-                raise GridTilingError(f"bad entry {token!r}")
-            try:
-                entries.append((int(parts[0]), int(parts[1])))
-            except ValueError as exc:
-                raise GridTilingError(f"bad entry {token!r}") from exc
-        flat.append(tuple(sorted(entries)))
-    for i in range(k):
-        rows.append(tuple(flat[i * k : (i + 1) * k]))
-    return GridTilingInstance(k, m, n, tuple(rows))
 
 
 def format_grid_tiling(inst: GridTilingInstance) -> str:

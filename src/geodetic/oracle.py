@@ -13,17 +13,15 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from geodetic.graph import (
-    INF,
     DisconnectedError,
-    DistanceOracle,
     Graph,
     VerificationError,
+    _bfs_order,
     is_connected,
     is_geodetic,
 )
 
 OPTIMAL = "optimal"
-EXCEEDS_UPPER = "exceeds-upper"
 BUDGET_EXHAUSTED = "budget-exhausted"
 
 
@@ -41,9 +39,8 @@ def pair_interval_masks(g: Graph, vertices: Sequence[int]) -> dict[tuple[int, in
     Keys are (u, v) with u <= v; the diagonal entry is the singleton bit.
     Only pairs in the same component get an entry.
     """
-    dist = DistanceOracle(g)
     vs = sorted(set(vertices))
-    rows = {v: dist.row(v) for v in vs}
+    rows = {v: _bfs_order(g.adj, v)[0] for v in vs}
     masks: dict[tuple[int, int], int] = {}
     for i, u in enumerate(vs):
         masks[(u, u)] = 1 << u
@@ -51,7 +48,7 @@ def pair_interval_masks(g: Graph, vertices: Sequence[int]) -> dict[tuple[int, in
         for v in vs[i + 1 :]:
             dv = rows[v]
             duv = du[v]
-            if duv is INF:
+            if duv < 0:
                 continue
             mask = 0
             for w in range(g.n):
@@ -65,17 +62,11 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def min_geodetic_brute(
-    g: Graph,
-    upper: int | None = None,
-    node_budget: int | None = None,
-) -> OracleResult:
+def min_geodetic_brute(g: Graph, node_budget: int | None = None) -> OracleResult:
     """Exact minimum geodetic set of a connected graph by exhaustive search.
 
-    ``upper`` caps the candidate size: if every set of size at most ``upper``
-    fails, the search stops with status ``exceeds-upper``.  ``node_budget``
-    caps the number of candidate sets evaluated; hitting it yields status
-    ``budget-exhausted``.  Both caps leave ``size`` and ``witness`` unset.
+    ``node_budget`` caps the number of candidate sets evaluated; hitting it
+    yields status ``budget-exhausted`` with ``size`` and ``witness`` unset.
     """
     if not is_connected(g):
         raise DisconnectedError("brute-force search requires a connected graph")
@@ -142,22 +133,13 @@ def min_geodetic_brute(
 
     try:
         for extra in range(len(free) + 1):
-            size = len(forced) + extra
-            if upper is not None and size > upper:
-                return OracleResult(EXCEEDS_UPPER, None, None, tested)
             witness = search(extra)
             if witness is not None:
                 # independent set-based verification of the mask arithmetic
                 if not is_geodetic(g, witness):
                     raise VerificationError(f"brute witness {witness} is not geodetic")
-                return OracleResult(OPTIMAL, size, witness, tested)
+                return OracleResult(OPTIMAL, len(witness), witness, tested)
     except _BudgetExhausted:
         return OracleResult(BUDGET_EXHAUSTED, None, None, tested)
     raise AssertionError("full vertex set is always geodetic")  # pragma: no cover
 
-
-def geodetic_number(g: Graph) -> int:
-    """Convenience wrapper returning just the optimum size."""
-    result = min_geodetic_brute(g)
-    assert result.size is not None
-    return result.size

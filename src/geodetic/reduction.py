@@ -2,8 +2,8 @@
 
 The driver shrinks a connected graph with five rewrite rules while tracking
 how much the optimum drops.  Each rule application is logged in a trace that
-is replayable (for auditing) and invertible (to lift a witness of the reduced
-instance back to the input graph).
+is invertible: it lifts a witness of the reduced instance back to the input
+graph.
 
 Terminology used throughout:
 
@@ -36,7 +36,6 @@ from heapq import heappop, heappush
 from typing import Iterable
 
 from geodetic.graph import (
-    INF,
     DisconnectedError,
     Graph,
     GraphError,
@@ -135,9 +134,6 @@ class MutableGraph:
                     dist[v] = du
                     queue.append(v)
         return dist
-
-    def distance(self, u: int, v: int) -> int | float:
-        return self.bfs(u).get(v, INF)
 
     def component_count(self) -> int:
         seen: set[int] = set()
@@ -567,23 +563,6 @@ def reduce_to_fixpoint(g: Graph) -> ReductionResult:
         raise AssertionError("reduction failed to reach a fixpoint")
     k_decrease = sum(entry.dk for entry in trace)
     return ReductionResult(work, fed, k_decrease, trace)
-
-
-def replay_entry(work: MutableGraph, entry: TraceEntry) -> None:
-    """Re-apply a logged rule application to a working graph in the same state."""
-    if entry.rule in ("collapse", "twin"):
-        (gone,) = entry.removed
-        work.remove_vertex(gone)
-    elif entry.rule in ("shortcut", "margin"):
-        (leaf,) = entry.added
-        work.attach_leaf(entry.info["support"], label=leaf)
-    elif entry.rule == "loop-prune":
-        for gone in entry.removed:
-            work.remove_vertex(gone)
-        if entry.info["new_leaf"] is not None:
-            work.attach_leaf(entry.info["attach"], label=entry.info["new_leaf"])
-    else:  # pragma: no cover
-        raise ValueError(f"unknown rule {entry.rule!r}")
 
 
 def lift_witness(trace: list[TraceEntry], witness: Iterable[int]) -> tuple[int, ...]:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+from collections import deque
+from math import inf
 
 import pytest
 
@@ -45,3 +47,28 @@ def theta_graph(lengths: tuple[int, ...]) -> Graph:
             nxt += 1
         edges.append((min(prev, 1), max(prev, 1)))
     return Graph(nxt, edges)
+
+
+def reference_bfs(g: Graph, source: int) -> list[int | float]:
+    """Reference: hop distances from ``source``, ``inf`` where unreachable,
+    from a queue-based search that shares no code with ``geodetic.graph``."""
+    dist: list[int | float] = [inf] * g.n
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in g.adj[u]:
+            if dist[v] == inf:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def reference_interval(rows, u: int, v: int) -> frozenset[int]:
+    """Reference: all vertices on at least one shortest u-v path, u and v
+    included, from the :func:`reference_bfs` rows ``rows[u]`` and
+    ``rows[v]``; empty when u and v lie in different components."""
+    du, dv = rows[u], rows[v]
+    if du[v] == inf:
+        return frozenset()
+    return frozenset(w for w in range(len(du)) if du[w] + dv[w] == du[v])

@@ -225,6 +225,17 @@ def test_generate_gadget_emits_solution_that_verifies(tmp_path, capsys):
     assert "status geodetic" in out
 
 
+def test_generate_gadget_without_out_builds_nothing(capsys):
+    code = main(
+        ["generate", "gadget", "--k", "2", "--m", "1", "--n", "1",
+         "--planted", "yes", "--seed", "3"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error gadget generation needs --out PREFIX\n"
+    assert not any(ln.startswith("vertices") for ln in captured.out.splitlines())
+
+
 def test_generate_gadget_rejects_budget_three(tmp_path, capsys):
     # at m = 3 the planted set is not always geodetic, so nothing is written
     prefix = str(tmp_path / "gad")

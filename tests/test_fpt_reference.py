@@ -166,14 +166,19 @@ def pairwise_emit_ilp(prep, applied):
     anchors = [(i, r) for i in active for r in (0, 1)]
     model = IlpModel([], [])
 
-    def end_vertex(i, r):
-        return fed.paths[i].left if r == 0 else fed.paths[i].right
+    # the end vertex of each anchor, looked up once
+    end = {
+        (i, r): fed.paths[i].left if r == 0 else fed.paths[i].right
+        for i, r in anchors
+    }
 
     z_cross = {}
+    cross_from = {a: [] for a in anchors}
     for a in anchors:
         for b in anchors:
             if a[0] != b[0]:
                 z_cross[(a, b)] = model.add_variable(0, 1)
+                cross_from[a].append(z_cross[(a, b)])
     z_self = {a: model.add_variable(0, 1) for a in anchors}
     margin_ok = {a: model.add_variable(0, 1) for a in anchors}
     helper = {}
@@ -233,8 +238,8 @@ def pairwise_emit_ilp(prep, applied):
         ia, ra = a
         ib, rb = b
         ha, hb = fed.paths[ia].h, fed.paths[ib].h
-        va, wa = end_vertex(ia, ra), end_vertex(ia, 1 - ra)
-        vb, wb = end_vertex(ib, rb), end_vertex(ib, 1 - rb)
+        va, wa = end[a], end[(ia, 1 - ra)]
+        vb, wb = end[b], end[(ib, 1 - rb)]
         if (a, b) in helper:
             through = [offset(a), offset(b), ([], dist[va][vb])]
             detours = (
@@ -271,11 +276,10 @@ def pairwise_emit_ilp(prep, applied):
             xa, xo = placed[a], placed[other]
             model.add_constraint([(xa, 2), (xo, 2), (gate, big)], "<=", big + h - d)
 
-    def ordered_pairs():
-        for (a, b), gate in z_cross.items():
-            yield a, b, gate
-        for a, gate in z_self.items():
-            yield a, (a[0], 1 - a[1]), gate
+    ordered_pairs = [(end[a], end[b], gate) for (a, b), gate in z_cross.items()]
+    ordered_pairs += [
+        (end[(i, r)], end[(i, 1 - r)], gate) for (i, r), gate in z_self.items()
+    ]
 
     for i in sweep:
         h = fed.paths[i].h
@@ -283,8 +287,7 @@ def pairwise_emit_ilp(prep, applied):
             continue
         left, right = fed.paths[i].left, fed.paths[i].right
         terms = []
-        for a, b, gate in ordered_pairs():
-            va, vb = end_vertex(*a), end_vertex(*b)
+        for va, vb, gate in ordered_pairs:
             if dist[va][left] + h + dist[right][vb] == dist[va][vb]:
                 terms.append((gate, 1))
         model.add_constraint(terms, ">=", 1)
@@ -294,8 +297,7 @@ def pairwise_emit_ilp(prep, applied):
         if v in chosen:
             continue
         terms = []
-        for a, b, gate in ordered_pairs():
-            va, vb = end_vertex(*a), end_vertex(*b)
+        for va, vb, gate in ordered_pairs:
             if dist[va][v] + dist[v][vb] == dist[va][vb]:
                 terms.append((gate, 1))
         model.add_constraint(terms, ">=", 1)
@@ -308,7 +310,7 @@ def pairwise_emit_ilp(prep, applied):
         else:
             model.add_constraint([(placed[a], 1), (flag, big)], "<=", big + 1)
         terms = [(flag, 1)]
-        terms.extend((gate, 1) for (p, _q), gate in z_cross.items() if p == a)
+        terms.extend((gate, 1) for gate in cross_from[a])
         terms.append((z_self[a], 1))
         model.add_constraint(terms, ">=", 1)
 
@@ -316,8 +318,6 @@ def pairwise_emit_ilp(prep, applied):
         "active": tuple(active),
         "fixed": dict(fixed),
         "placed": dict(placed),
-        "z_cross": dict(z_cross),
-        "z_self": dict(z_self),
     }
     return model, meta
 

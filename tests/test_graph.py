@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from math import inf
 from pathlib import Path
 
 import pytest
@@ -13,28 +14,28 @@ import geodetic.graph as graph_module
 from geodetic.gadget import build_gadget
 from geodetic.generators import random_fen_graph
 from geodetic.graph import (
-    INF,
     DisconnectedError,
-    DistanceOracle,
     Graph,
     GraphError,
     GraphFormatError,
-    bfs_distances,
+    _bfs_order,
     connected_components,
     diameter,
     feedback_edge_number,
     format_graph,
-    interval,
     interval_closure,
     is_connected,
     is_geodetic,
     parse_graph,
 )
 from geodetic.gridtiling import random_yes_instance
+from geodetic.oracle import pair_interval_masks
 from tests.conftest import (
     complete_graph,
     cycle_graph,
     path_graph,
+    reference_bfs,
+    reference_interval,
     star_graph,
     theta_graph,
 )
@@ -68,29 +69,28 @@ def test_graph_equality_ignores_edge_order():
 
 def test_bfs_distances_path():
     g = path_graph(5)
-    assert bfs_distances(g, 0) == [0, 1, 2, 3, 4]
-    assert bfs_distances(g, 2) == [2, 1, 0, 1, 2]
+    assert _bfs_order(g.adj, 0) == ([0, 1, 2, 3, 4], [0, 1, 2, 3, 4])
+    assert _bfs_order(g.adj, 2) == ([2, 1, 0, 1, 2], [2, 1, 3, 0, 4])
 
 
 def test_bfs_distances_disconnected():
     g = Graph(4, [(0, 1), (2, 3)])
-    d = bfs_distances(g, 0)
-    assert d[1] == 1
-    assert d[2] is INF
-    assert d[3] is INF
+    assert _bfs_order(g.adj, 0) == ([0, 1, -1, -1], [0, 1])
 
 
-def test_distance_oracle_matches_bfs(rng: random.Random):
+def test_bfs_order_matches_reference_bfs(rng: random.Random):
     for _ in range(20):
         n = rng.randrange(2, 12)
         possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
         edges = rng.sample(possible, k=rng.randrange(0, len(possible) + 1))
         g = Graph(n, edges)
-        oracle = DistanceOracle(g)
         for s in range(n):
-            assert list(oracle.row(s)) == bfs_distances(g, s)
-        u, v = rng.randrange(n), rng.randrange(n)
-        assert oracle.distance(u, v) == bfs_distances(g, u)[v]
+            dist, order = _bfs_order(g.adj, s)
+            want = reference_bfs(g, s)
+            assert [d if d >= 0 else inf for d in dist] == want
+            # the order visits each reachable vertex once, nearest first
+            assert sorted(order) == [w for w in range(n) if want[w] != inf]
+            assert [dist[w] for w in order] == sorted(dist[w] for w in order)
 
 
 def test_connected_components():
@@ -111,22 +111,23 @@ def test_feedback_edge_number():
 
 def test_interval_even_cycle():
     # both shortest 0-2 paths on C4 exist, so the interval is everything
-    g = cycle_graph(4)
-    oracle = DistanceOracle(g)
-    assert interval(g, oracle, 0, 2) == frozenset({0, 1, 2, 3})
+    assert interval_closure(cycle_graph(4), [0, 2]) == frozenset({0, 1, 2, 3})
 
 
 def test_interval_odd_cycle():
     g = cycle_graph(5)
-    oracle = DistanceOracle(g)
-    assert interval(g, oracle, 0, 2) == frozenset({0, 1, 2})
-    assert interval(g, oracle, 0, 0) == frozenset({0})
+    assert interval_closure(g, [0, 2]) == frozenset({0, 1, 2})
+    assert interval_closure(g, [0]) == frozenset({0})
 
 
 def test_interval_disconnected_pair():
+    # a pair in two components spans no path: only its ends are covered,
+    # and the pairwise masks have no entry for it
     g = Graph(4, [(0, 1), (2, 3)])
-    with pytest.raises(DisconnectedError):
-        interval(g, DistanceOracle(g), 0, 2)
+    assert interval_closure(g, [0, 2]) == frozenset({0, 2})
+    assert sorted(pair_interval_masks(g, range(4))) == [
+        (0, 0), (0, 1), (1, 1), (2, 2), (2, 3), (3, 3)
+    ]
 
 
 def test_interval_closure_clique_pair():
@@ -146,12 +147,11 @@ def test_interval_closure_skips_cross_component_pairs():
 
 
 def _pairwise_closure(g: Graph, vertices: list[int]) -> frozenset[int]:
-    oracle = DistanceOracle(g)
+    rows = {v: reference_bfs(g, v) for v in vertices}
     closed = set(vertices)
     for i, u in enumerate(vertices):
         for v in vertices[i + 1 :]:
-            if oracle.distance(u, v) is not INF:
-                closed |= interval(g, oracle, u, v)
+            closed |= reference_interval(rows, u, v)
     return frozenset(closed)
 
 
@@ -224,7 +224,7 @@ def test_diameter_long_path():
 
 def diameter_all_pairs(g: Graph) -> int:
     """Reference: one BFS from every vertex."""
-    return max(max(bfs_distances(g, s)) for s in range(g.n))
+    return max(max(reference_bfs(g, s)) for s in range(g.n))
 
 
 def theta_with_pendant_paths(rng: random.Random) -> Graph:

@@ -13,13 +13,18 @@ from geodetic.graph import (
 )
 from geodetic.oracle import (
     BUDGET_EXHAUSTED,
-    EXCEEDS_UPPER,
     OPTIMAL,
-    geodetic_number,
     min_geodetic_brute,
     pair_interval_masks,
 )
-from tests.conftest import complete_graph, cycle_graph, path_graph, star_graph
+from tests.conftest import (
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    reference_bfs,
+    reference_interval,
+    star_graph,
+)
 
 
 def naive_minimum(g: Graph) -> int:
@@ -42,24 +47,43 @@ def random_connected_graph(rng: random.Random, n: int) -> Graph:
 
 
 def test_pair_interval_masks_match_closure():
-    g = cycle_graph(6)
-    masks = pair_interval_masks(g, range(6))
-    for (u, v), mask in masks.items():
-        expected = interval_closure(g, [u, v])
-        assert mask == sum(1 << w for w in expected)
+    # C6, then seeded random graphs on 1-13 vertices, most of them
+    # disconnected, with every vertex or a random subset
+    draws = random.Random(2026)
+    graphs = [(cycle_graph(6), range(6))]
+    for _ in range(300):
+        n = draws.randint(1, 13)
+        possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = draws.sample(possible, k=draws.randint(0, min(len(possible), n + 3)))
+        graphs.append((Graph(n, edges), draws.sample(range(n), k=draws.randint(1, n))))
+    split = 0
+    for g, vertices in graphs:
+        vs = sorted(vertices)
+        rows = {v: reference_bfs(g, v) for v in vs}
+        want = {}
+        for i, u in enumerate(vs):
+            for v in vs[i:]:
+                expected = reference_interval(rows, u, v)
+                if expected:
+                    want[(u, v)] = sum(1 << w for w in expected)
+                    assert interval_closure(g, [u, v]) == expected
+                else:
+                    split += 1  # different components: no entry
+        assert pair_interval_masks(g, vertices) == want
+    assert split > 1000
 
 
 def test_known_optima():
-    assert geodetic_number(path_graph(2)) == 2
-    assert geodetic_number(path_graph(9)) == 2
-    assert geodetic_number(cycle_graph(4)) == 2
-    assert geodetic_number(cycle_graph(5)) == 3
-    assert geodetic_number(cycle_graph(6)) == 2
-    assert geodetic_number(cycle_graph(7)) == 3
-    assert geodetic_number(complete_graph(4)) == 4
-    assert geodetic_number(complete_graph(6)) == 6
-    assert geodetic_number(star_graph(5)) == 5
-    assert geodetic_number(Graph(1, [])) == 1
+    assert min_geodetic_brute(path_graph(2)).size == 2
+    assert min_geodetic_brute(path_graph(9)).size == 2
+    assert min_geodetic_brute(cycle_graph(4)).size == 2
+    assert min_geodetic_brute(cycle_graph(5)).size == 3
+    assert min_geodetic_brute(cycle_graph(6)).size == 2
+    assert min_geodetic_brute(cycle_graph(7)).size == 3
+    assert min_geodetic_brute(complete_graph(4)).size == 4
+    assert min_geodetic_brute(complete_graph(6)).size == 6
+    assert min_geodetic_brute(star_graph(5)).size == 5
+    assert min_geodetic_brute(Graph(1, [])).size == 1
 
 
 def test_witness_is_geodetic_and_minimal():
@@ -91,17 +115,7 @@ def test_tree_optimum_is_leaf_count(rng: random.Random):
 def test_matches_naive_enumeration(rng: random.Random):
     for _ in range(40):
         g = random_connected_graph(rng, rng.randrange(2, 9))
-        assert geodetic_number(g) == naive_minimum(g)
-
-
-def test_upper_cap():
-    g = complete_graph(5)
-    result = min_geodetic_brute(g, upper=3)
-    assert result.status == EXCEEDS_UPPER
-    assert result.size is None and result.witness is None
-    result = min_geodetic_brute(g, upper=5)
-    assert result.status == OPTIMAL
-    assert result.size == 5
+        assert min_geodetic_brute(g).size == naive_minimum(g)
 
 
 def test_node_budget():

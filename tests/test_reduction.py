@@ -17,6 +17,7 @@ from geodetic.reduction import (
     FenTooSmallError,
     MutableGraph,
     RuleWorklist,
+    TraceEntry,
     apply_collapse,
     apply_loop_prune,
     apply_margin,
@@ -25,7 +26,6 @@ from geodetic.reduction import (
     build_feg,
     lift_witness,
     reduce_to_fixpoint,
-    replay_entry,
     solve_fen1_optimum,
     solve_tree,
     two_core,
@@ -333,6 +333,22 @@ def test_reduce_preserves_optimum_and_lifts(rng: random.Random):
         assert is_geodetic(g, lifted)
         checked += 1
     assert checked == 60
+
+
+def replay_entry(work: MutableGraph, entry: TraceEntry) -> None:
+    """Re-apply a logged rule application to a working graph in the same state."""
+    if entry.rule in ("collapse", "twin"):
+        (gone,) = entry.removed
+        work.remove_vertex(gone)
+    elif entry.rule in ("shortcut", "margin"):
+        (leaf,) = entry.added
+        work.attach_leaf(entry.info["support"], label=leaf)
+    else:
+        assert entry.rule == "loop-prune", entry.rule
+        for gone in entry.removed:
+            work.remove_vertex(gone)
+        if entry.info["new_leaf"] is not None:
+            work.attach_leaf(entry.info["attach"], label=entry.info["new_leaf"])
 
 
 def test_replay_reproduces_reduction(rng: random.Random):

@@ -4,14 +4,16 @@ The reference below is the earlier ``reduce_to_fixpoint`` with its rules
 and decomposition, kept verbatim: every round it rescans all labels in
 sorted order for collapse and twin, and it recomputes the feedback edge
 number.  It runs on :class:`SortingGraph`, which restores the sorting
-accessors it was written against.  The driver in ``geodetic.reduction``
-must give the same trace, kernel, optimum drop and decomposition.
+accessors and the ``distance`` query it was written against.
+``geodetic.reduction.reduce_to_fixpoint`` must give the same trace,
+kernel, optimum drop and decomposition.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter, deque
+from math import inf
 
 from geodetic.generators import random_fen_graph
 from geodetic.graph import DisconnectedError, Graph, GraphError
@@ -38,6 +40,9 @@ class SortingGraph(MutableGraph):
 
     def is_leafed(self, v: int) -> bool:
         return self.leaf_of(v) is not None
+
+    def distance(self, u: int, v: int) -> int | float:
+        return self.bfs(u).get(v, inf)
 
 
 def two_core(work: MutableGraph) -> set[int]:
