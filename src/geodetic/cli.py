@@ -80,6 +80,9 @@ def _solve_component(sub: Graph, algo: str, args) -> tuple[str, int | None, tupl
 
 
 def cmd_solve(args) -> int:
+    if args.node_budget is not None and args.node_budget < 0:
+        print("error node budget must be non-negative", file=sys.stderr)
+        return 2
     g = _read_graph(args.graph)
     report = Report(args.quiet)
     report.line("command", "solve")

@@ -36,7 +36,6 @@ from geodetic.ilp import (
 from geodetic.reduction import (
     FeedbackEdgeDecomposition,
     MutableGraph,
-    PathRecord,
     lift_witness,
     reduce_to_fixpoint,
     solve_fen1_optimum,
@@ -75,9 +74,11 @@ class GuessContext:
 class PreparedInstance:
     """Fixpoint graph with everything the guess loop reads over and over.
 
-    ``route_masks`` memoises :func:`_route_mask` per ordered pair of
-    segment ends for :func:`refute_guess` and :func:`emit_ilp`; it fills as
-    guesses reach the pairs.
+    ``ends`` maps each segment end (i, r) to its vertex, the vertex at the
+    segment's other end and the segment length h.  ``route_masks`` memoises
+    :func:`_route_mask` per ordered pair of segment ends for
+    :func:`refute_guess` and :func:`emit_ilp`; it fills as guesses reach the
+    pairs.
     """
 
     work: MutableGraph
@@ -86,6 +87,7 @@ class PreparedInstance:
     empty_segments: tuple[int, ...]
     dist: dict[int, dict[int, int]]
     leaf_count: int
+    ends: dict[Anchor, tuple[int, int, int]]
     route_masks: dict[tuple[int, int], int] = field(default_factory=dict)
 
 
@@ -124,7 +126,11 @@ def prepare(work: MutableGraph, fed: FeedbackEdgeDecomposition) -> PreparedInsta
     empties = tuple(p.index for p in fed.paths if not p.leaf_positions)
     dist = {b: fed.distances_from(work, b) for b in fed.branch_vertices}
     leaf_count = sum(1 for v in work.labels() if work.degree(v) == 1)
-    return PreparedInstance(work, fed, open_branch, empties, dist, leaf_count)
+    ends = {}
+    for p in fed.paths:
+        ends[(p.index, 0)] = (p.left, p.right, p.h)
+        ends[(p.index, 1)] = (p.right, p.left, p.h)
+    return PreparedInstance(work, fed, open_branch, empties, dist, leaf_count, ends)
 
 
 def _subset_shape(
@@ -211,10 +217,6 @@ def _fixed_offsets(
     return fixed
 
 
-def _end(path: PathRecord, r: int) -> int:
-    return path.right if r else path.left
-
-
 def _anchor_pairs(
     prep: PreparedInstance, classes: tuple[str, ...]
 ) -> list[tuple[Anchor, Anchor, int, int]]:
@@ -222,9 +224,8 @@ def _anchor_pairs(
     empty, each with the two end vertices: first the pairs across segments
     in anchors x anchors order, then each end with the other end of its own
     segment.  :func:`emit_ilp` numbers its route gates in this order."""
-    paths = prep.fed.paths
     ends = [
-        ((i, r), _end(paths[i], r))
+        ((i, r), prep.ends[(i, r)][0])
         for i, c in enumerate(classes)
         if c != EMPTY
         for r in (0, 1)
@@ -245,11 +246,9 @@ def _cross_shut(
     """Whether the through route between two fixed placements, at offsets
     ``xa`` from end a and ``xb`` from end b, is longer than a detour around
     a segment end, so that the pair can never claim it."""
-    paths, dist = prep.fed.paths, prep.dist
-    (ia, ra), (ib, rb) = a, b
-    ha, hb = paths[ia].h, paths[ib].h
-    va, wa = _end(paths[ia], ra), _end(paths[ia], 1 - ra)
-    vb, wb = _end(paths[ib], rb), _end(paths[ib], 1 - rb)
+    dist = prep.dist
+    va, wa, ha = prep.ends[a]
+    vb, wb, hb = prep.ends[b]
     length = xa + dist[va][vb] + xb
     alts = (
         xa + dist[va][wb] + hb - xb,
@@ -456,7 +455,7 @@ def emit_ilp(prep: PreparedInstance, applied: AppliedGuess) -> tuple[IlpModel, d
         while hit:
             cover[hit & -hit].append((gate, 1))
             hit &= hit - 1
-        (ia, ra), (ib, rb) = a, b
+        ia, ib = a[0], b[0]
         if ia == ib:
             if a in fixed:
                 if _self_shut(prep, ia, fixed[a], fixed[b]):
@@ -468,8 +467,8 @@ def emit_ilp(prep: PreparedInstance, applied: AppliedGuess) -> tuple[IlpModel, d
             if _cross_shut(prep, a, b, fixed[a], fixed[b]):
                 model.add_constraint([(gate, 1)], "<=", 0)
         else:
-            ha, hb = paths[ia].h, paths[ib].h
-            wa, wb = _end(paths[ia], 1 - ra), _end(paths[ib], 1 - rb)
+            wa, ha = prep.ends[a][1:]
+            wb, hb = prep.ends[b][1:]
             through = [offset(a), offset(b), ([], dist[va][vb])]
             detours = (
                 [offset(a), neg(offset(b)), ([], dist[va][wb] + hb)],
@@ -712,7 +711,8 @@ def solve_fpt(
     stats["trace_length"] = len(red.trace)
     lower: int | None = None
     if red.decomposition is None:
-        if red.graph.feedback_edge_number() == 0:
+        # the fixpoint is connected, so it is a tree exactly when m = n - 1
+        if red.graph.m == red.graph.n - 1:
             algorithm = "tree"
             size_r, witness_r = solve_tree(red.graph)
         else:

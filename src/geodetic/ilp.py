@@ -2,12 +2,14 @@
 
 Pure-integer depth-first branch and bound with interval propagation; no
 floating point anywhere, so answers on the tiny models built here are exact
-by construction.  Each search node branches on the first row, in model
-order, that some completion of the current bounds could still violate.  It
-splits that row's unfixed variable of smallest id and tries first the half
-that helps the row hold: the lower half where the variable raises the
-row's left side in ``<=`` form, the upper half otherwise.  Once no row can
-be violated, the lower bounds are a solution.  Runs are deterministic.
+by construction.  A model stores each row in ``<=`` form when it is added,
+duplicate terms merged, so the search reads the rows as they are.  Each
+search node branches on the first row, in model order, that some
+completion of the current bounds could still violate.  It splits that
+row's unfixed variable of smallest id and tries first the half that helps
+the row hold: the lower half where the variable raises the row's left
+side, the upper half otherwise.  Once no row can be violated, the lower
+bounds are a solution.  Runs are deterministic.
 """
 
 from __future__ import annotations
@@ -25,43 +27,38 @@ class IlpError(ValueError):
     """Malformed model or query."""
 
 
-@dataclass(frozen=True)
-class Variable:
-    id: int
-    lo: int
-    hi: int
-
-
-@dataclass(frozen=True)
-class Constraint:
-    """Linear constraint: sum of coeff * var  (sense)  rhs."""
-
-    coeffs: tuple[tuple[int, int], ...]  # (var id, coefficient)
-    sense: str  # "<=" or ">="
-    rhs: int
+Row = tuple[tuple[tuple[int, int], ...], int]  # ((var id, coefficient), ...), rhs
 
 
 @dataclass
 class IlpModel:
-    variables: list[Variable]
-    constraints: list[Constraint]
+    """Variable domains as ``(lo, hi)`` pairs, indexed by variable id, and
+    rows as ``(coeffs, rhs)`` meaning ``sum of coeff * var <= rhs``."""
+
+    variables: list[tuple[int, int]]
+    constraints: list[Row]
 
     def add_variable(self, lo: int, hi: int) -> int:
         if lo > hi:
             raise IlpError(f"empty domain [{lo}, {hi}]")
-        vid = len(self.variables)
-        self.variables.append(Variable(vid, lo, hi))
-        return vid
+        self.variables.append((lo, hi))
+        return len(self.variables) - 1
 
     def add_constraint(
         self, coeffs: Sequence[tuple[int, int]], sense: str, rhs: int
     ) -> None:
+        """Add ``sum of coeff * var (sense) rhs``, stored in ``<=`` form with
+        duplicate terms merged, zero terms dropped and terms sorted by id."""
         if sense not in ("<=", ">="):
             raise IlpError(f"unknown sense {sense!r}")
-        for vid, _ in coeffs:
+        merged: dict[int, int] = {}
+        for vid, c in coeffs:
             if not 0 <= vid < len(self.variables):
                 raise IlpError(f"unknown variable {vid}")
-        self.constraints.append(Constraint(tuple(coeffs), sense, rhs))
+            merged[vid] = merged.get(vid, 0) + c
+        sign = 1 if sense == "<=" else -1
+        items = tuple(sorted((v, sign * c) for v, c in merged.items() if c != 0))
+        self.constraints.append((items, sign * rhs))
 
 
 @dataclass(frozen=True)
@@ -71,30 +68,14 @@ class IlpResult:
     nodes: int
 
 
-def _normalized(model: IlpModel) -> list[tuple[tuple[tuple[int, int], ...], int]]:
-    """All constraints as (coeffs, rhs) in <= form, duplicate terms merged."""
-    rows = []
-    for con in model.constraints:
-        merged: dict[int, int] = {}
-        for vid, c in con.coeffs:
-            merged[vid] = merged.get(vid, 0) + c
-        items = tuple(sorted((v, c) for v, c in merged.items() if c != 0))
-        if con.sense == "<=":
-            rows.append((items, con.rhs))
-        else:
-            rows.append((tuple((v, -c) for v, c in items), -con.rhs))
-    return rows
-
-
 def solve(model: IlpModel, node_budget: int | None = None) -> IlpResult:
     """Find any integral assignment satisfying every constraint."""
-    rows = _normalized(model)
-    ids = [v.id for v in model.variables]
-    lo = {v.id: v.lo for v in model.variables}
-    hi = {v.id: v.hi for v in model.variables}
-    for v in model.variables:
-        if v.lo > v.hi:
-            raise IlpError(f"variable {v.id} has empty domain")
+    rows = model.constraints
+    lo = [a for a, _b in model.variables]
+    hi = [b for _a, b in model.variables]
+    for vid, (a, b) in enumerate(model.variables):
+        if a > b:
+            raise IlpError(f"variable {vid} has empty domain")
 
     trail: list[tuple[int, int, int]] = []  # (var, 0=lo/1=hi, old value)
 
@@ -115,7 +96,7 @@ def solve(model: IlpModel, node_budget: int | None = None) -> IlpResult:
                 hi[v] = old
 
     # each variable's rows, for the queue of rows whose bounds may tighten
-    rows_of: list[list[int]] = [[] for _ in ids]
+    rows_of: list[list[int]] = [[] for _ in lo]
     for r, (coeffs, _rhs) in enumerate(rows):
         for v, _c in coeffs:
             rows_of[v].append(r)
@@ -205,7 +186,7 @@ def solve(model: IlpModel, node_budget: int | None = None) -> IlpResult:
             nodes += 1
             pick = next_var()
             if pick is None:
-                assignment = {i: lo[i] for i in ids}
+                assignment = dict(enumerate(lo))
                 for coeffs, rhs in rows:
                     assert sum(c * assignment[i] for i, c in coeffs) <= rhs
                 return IlpResult(FEASIBLE, assignment, nodes)

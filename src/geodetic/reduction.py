@@ -40,6 +40,7 @@ from geodetic.graph import (
     Graph,
     GraphError,
     VerificationError,
+    is_connected,
     is_geodetic,
 )
 
@@ -134,26 +135,6 @@ class MutableGraph:
                     dist[v] = du
                     queue.append(v)
         return dist
-
-    def component_count(self) -> int:
-        seen: set[int] = set()
-        comps = 0
-        for s in self._adj:
-            if s in seen:
-                continue
-            comps += 1
-            seen.add(s)
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                for v in self._adj[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        queue.append(v)
-        return comps
-
-    def feedback_edge_number(self) -> int:
-        return self.m - self.n + self.component_count()
 
     def to_graph(self) -> tuple[Graph, list[int]]:
         """Relabel to 0..n-1 (sorted label order); returns graph and label list."""
@@ -533,9 +514,9 @@ def reduce_to_fixpoint(g: Graph) -> ReductionResult:
     """
     if g.n == 0:
         raise GraphError("cannot reduce the empty graph")
-    work = MutableGraph.from_graph(g)
-    if work.component_count() != 1:
+    if not is_connected(g):
         raise DisconnectedError("reduction requires a connected graph")
+    work = MutableGraph.from_graph(g)
     # every rule keeps the graph connected and only loop-prune drops a cycle
     fen = g.m - g.n + 1
     worklist = RuleWorklist(work)

@@ -376,20 +376,22 @@ def test_criterion_7_ilp_completeness(capsys):
             bounds.append((lo, hi))
             product *= width + 1
             model.add_variable(lo, hi)
+        # checked against the constraints as given, not as the model stores them
+        rows = []
         for _ in range(rng.randint(1, 7)):
             support = rng.sample(range(nv), k=rng.randint(1, nv))
             coeffs = [(v, rng.choice((-3, -2, -1, 1, 2, 3))) for v in support]
             sense = rng.choice(("<=", ">="))
-            model.add_constraint(coeffs, sense, rng.randint(-10, 10))
+            rows.append((coeffs, sense, rng.randint(-10, 10)))
+            model.add_constraint(*rows[-1])
         res = solve_ilp(model)
-        rows = model.constraints
 
         def satisfied(point):
-            for row in rows:
-                total = sum(c * point[v] for v, c in row.coeffs)
-                if row.sense == "<=" and total > row.rhs:
+            for coeffs, sense, rhs in rows:
+                total = sum(c * point[v] for v, c in coeffs)
+                if sense == "<=" and total > rhs:
                     return False
-                if row.sense == ">=" and total < row.rhs:
+                if sense == ">=" and total < rhs:
                     return False
             return True
 

@@ -211,6 +211,18 @@ def test_generate_negative_count_is_an_error(tmp_path, capsys, argv):
     assert not (tmp_path / "neg.graph").exists()
 
 
+def test_solve_negative_node_budget_is_an_error(tmp_path, capsys):
+    prefix = str(tmp_path / "d16")
+    argv = ["generate", "random-fen", "--n", "16", "--fen", "6", "--seed", "4"]
+    assert main(argv + ["--out", prefix]) == 0
+    capsys.readouterr()
+    code = main(["solve", prefix + ".graph", "--algo", "fpt", "--node-budget", "-3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error node budget must be non-negative\n"
+    assert captured.out == ""
+
+
 def test_generate_gadget_emits_solution_that_verifies(tmp_path, capsys):
     prefix = str(tmp_path / "gad")
     code, out = run(

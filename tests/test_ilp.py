@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Iterator
 from itertools import product
 
 import pytest
@@ -24,31 +25,28 @@ def fresh_model() -> IlpModel:
     return IlpModel([], [])
 
 
-def reference_normalized(model):
-    """Reference: all constraints as (coeffs, rhs) in <= form, duplicate
-    terms merged."""
-    rows = []
-    for con in model.constraints:
-        merged: dict[int, int] = {}
-        for vid, c in con.coeffs:
-            merged[vid] = merged.get(vid, 0) + c
-        items = tuple(sorted((v, c) for v, c in merged.items() if c != 0))
-        if con.sense == "<=":
-            rows.append((items, con.rhs))
-        else:
-            rows.append((tuple((v, -c) for v, c in items), -con.rhs))
-    return rows
+def reference_normalized(triple):
+    """Reference: one ``(coeffs, sense, rhs)`` constraint as (coeffs, rhs)
+    in <= form, duplicate terms merged."""
+    coeffs, sense, rhs = triple
+    merged: dict[int, int] = {}
+    for vid, c in coeffs:
+        merged[vid] = merged.get(vid, 0) + c
+    items = tuple(sorted((v, c) for v, c in merged.items() if c != 0))
+    if sense == "<=":
+        return items, rhs
+    return tuple((v, -c) for v, c in items), -rhs
 
 
 def reference_solve(model, node_budget=None):
     """Reference: the solver that re-swept every row until no bound moved."""
-    rows = reference_normalized(model)
-    ids = [v.id for v in model.variables]
-    lo = {v.id: v.lo for v in model.variables}
-    hi = {v.id: v.hi for v in model.variables}
-    for v in model.variables:
-        if v.lo > v.hi:
-            raise IlpError(f"variable {v.id} has empty domain")
+    rows = model.constraints
+    ids = list(range(len(model.variables)))
+    lo = {i: a for i, (a, _b) in enumerate(model.variables)}
+    hi = {i: b for i, (_a, b) in enumerate(model.variables)}
+    for i in ids:
+        if lo[i] > hi[i]:
+            raise IlpError(f"variable {i} has empty domain")
 
     trail: list[tuple[int, int, int]] = []  # (var, 0=lo/1=hi, old value)
 
@@ -150,9 +148,14 @@ def reference_solve(model, node_budget=None):
             state = "descend" if propagate() else "branch"
 
 
-def random_model(rng: random.Random) -> IlpModel:
-    """A model of up to four small-domain variables and up to five rows."""
+Triple = tuple[list[tuple[int, int]], str, int]
+
+
+def random_model(rng: random.Random) -> tuple[IlpModel, list[Triple]]:
+    """A model of up to four small-domain variables and up to five rows,
+    with the ``(coeffs, sense, rhs)`` triples it was given."""
     m = fresh_model()
+    raw: list[Triple] = []
     nvars = rng.randrange(1, 5)
     for _ in range(nvars):
         lo = rng.randrange(-2, 2)
@@ -164,23 +167,41 @@ def random_model(rng: random.Random) -> IlpModel:
             if rng.random() < 0.8
         ]
         sense = "<=" if rng.random() < 0.5 else ">="
-        m.add_constraint(coeffs, sense, rng.randrange(-6, 11))
-    return m
+        raw.append((coeffs, sense, rng.randrange(-6, 11)))
+        m.add_constraint(*raw[-1])
+    return m, raw
+
+
+def random_models(rng: random.Random) -> Iterator[tuple[IlpModel, list[Triple]]]:
+    """600 random models: those of test_matches_brute_force, then larger
+    ones with more variables and rows of three terms, repeats allowed."""
+    for trial in range(600):
+        m, raw = random_model(rng)
+        if trial >= 150:
+            for _ in range(rng.randrange(0, 8)):
+                m.add_variable(0, rng.randrange(1, 4))
+            n = len(m.variables)
+            for _ in range(rng.randrange(2, 12)):
+                coeffs = [(rng.randrange(n), rng.randrange(-3, 4)) for _ in range(3)]
+                sense = "<=" if rng.random() < 0.5 else ">="
+                raw.append((coeffs, sense, rng.randrange(-4, 8)))
+                m.add_constraint(*raw[-1])
+        yield m, raw
 
 
 BUDGETS = (1, 30, None)
 
 
-def brute_force_feasible(model: IlpModel) -> bool:
-    domains = [range(v.lo, v.hi + 1) for v in model.variables]
+def brute_force_feasible(model: IlpModel, raw: list[Triple]) -> bool:
+    domains = [range(lo, hi + 1) for lo, hi in model.variables]
     for values in product(*domains):
         ok = True
-        for con in model.constraints:
-            total = sum(c * values[v] for v, c in con.coeffs)
-            if con.sense == "<=" and total > con.rhs:
+        for coeffs, sense, rhs in raw:
+            total = sum(c * values[v] for v, c in coeffs)
+            if sense == "<=" and total > rhs:
                 ok = False
                 break
-            if con.sense == ">=" and total < con.rhs:
+            if sense == ">=" and total < rhs:
                 ok = False
                 break
         if ok:
@@ -307,24 +328,26 @@ def test_rejects_bad_model():
 
 def test_matches_brute_force(rng: random.Random):
     for _ in range(150):
-        m = random_model(rng)
+        m, raw = random_model(rng)
         got = solve(m)
-        assert (got.status == FEASIBLE) == brute_force_feasible(m)
+        assert (got.status == FEASIBLE) == brute_force_feasible(m, raw)
+
+
+def test_rows_are_stored_in_le_form(rng: random.Random):
+    # the draws hold both senses, repeated terms and zero coefficients
+    seen = {"<=": 0, ">=": 0, "repeat": 0, "zero": 0}
+    for m, raw in random_models(rng):
+        assert m.constraints == [reference_normalized(t) for t in raw]
+        for coeffs, sense, _rhs in raw:
+            seen[sense] += 1
+            seen["repeat"] += len({v for v, _c in coeffs}) < len(coeffs)
+            seen["zero"] += any(c == 0 for _v, c in coeffs)
+    assert min(seen.values()) >= 100
 
 
 def test_row_queue_matches_full_sweep_on_random_models(rng: random.Random):
-    # the models of test_matches_brute_force, then larger ones with more rows
     statuses = set()
-    for trial in range(600):
-        m = random_model(rng)
-        if trial >= 150:
-            for _ in range(rng.randrange(0, 8)):
-                m.add_variable(0, rng.randrange(1, 4))
-            n = len(m.variables)
-            for _ in range(rng.randrange(2, 12)):
-                coeffs = [(rng.randrange(n), rng.randrange(-3, 4)) for _ in range(3)]
-                sense = "<=" if rng.random() < 0.5 else ">="
-                m.add_constraint(coeffs, sense, rng.randrange(-4, 8))
+    for m, _raw in random_models(rng):
         for budget in BUDGETS:
             got = solve(m, node_budget=budget)
             assert got == reference_solve(m, node_budget=budget)

@@ -4,9 +4,9 @@ The reference below is the earlier ``reduce_to_fixpoint`` with its rules
 and decomposition, kept verbatim: every round it rescans all labels in
 sorted order for collapse and twin, and it recomputes the feedback edge
 number.  It runs on :class:`SortingGraph`, which restores the sorting
-accessors and the ``distance`` query it was written against.
-``geodetic.reduction.reduce_to_fixpoint`` must give the same trace,
-kernel, optimum drop and decomposition.
+accessors, the ``distance`` query and the component count it was written
+against.  ``geodetic.reduction.reduce_to_fixpoint`` must give the same
+trace, kernel, optimum drop and decomposition.
 """
 
 from __future__ import annotations
@@ -43,6 +43,26 @@ class SortingGraph(MutableGraph):
 
     def distance(self, u: int, v: int) -> int | float:
         return self.bfs(u).get(v, inf)
+
+    def component_count(self) -> int:
+        seen: set[int] = set()
+        comps = 0
+        for s in self._adj:
+            if s in seen:
+                continue
+            comps += 1
+            seen.add(s)
+            queue = deque([s])
+            while queue:
+                u = queue.popleft()
+                for v in self._adj[u]:
+                    if v not in seen:
+                        seen.add(v)
+                        queue.append(v)
+        return comps
+
+    def feedback_edge_number(self) -> int:
+        return self.m - self.n + self.component_count()
 
 
 def two_core(work: MutableGraph) -> set[int]:
