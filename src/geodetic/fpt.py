@@ -6,9 +6,13 @@ through guess enumeration: which unleafed branch vertices join the
 solution, and how many solution vertices sit in the interior of each
 unleafed segment.  A guess fixes the candidate size outright and leaves
 only the exact placements open, which a small integer feasibility program
-decides, unless the memoised route masks refute the guess before the
-program is built.  Guesses are processed in order of candidate size, so the
-first feasible one realizes the optimum of the reduced graph.
+decides.  Before the program is built, every ordered pair of segment ends
+is tested at the lower corner of the placement ranges; a pair shut there is
+shut for every placement.  The guess is refuted when a target lies on no
+open pair's route (``cover``) or a fixed placement deeper than one step has
+no open pair leaving its end (``margin``).  Guesses are processed in order
+of candidate size, so the first feasible one realizes the optimum of the
+reduced graph.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from geodetic.graph import (
     Graph,
     GraphError,
     VerificationError,
-    feedback_edge_number,
     is_connected,
     is_geodetic,
 )
@@ -76,9 +79,10 @@ class PreparedInstance:
 
     ``ends`` maps each segment end (i, r) to its vertex, the vertex at the
     segment's other end and the segment length h.  ``route_masks`` memoises
-    :func:`_route_mask` per ordered pair of segment ends for
-    :func:`refute_guess` and :func:`emit_ilp`; it fills as guesses reach the
-    pairs.
+    :func:`_route_mask` per ordered pair of segment end vertices for
+    :func:`refute_guess` and :func:`emit_ilp`, and ``open_masks`` memoises
+    :func:`_open_mask` per ordered anchor pair and offsets for
+    :func:`refute_guess`; both fill as guesses reach the pairs.
     """
 
     work: MutableGraph
@@ -89,6 +93,9 @@ class PreparedInstance:
     leaf_count: int
     ends: dict[Anchor, tuple[int, int, int]]
     route_masks: dict[tuple[int, int], int] = field(default_factory=dict)
+    open_masks: dict[tuple[Anchor, int, Anchor, int], int] = field(
+        default_factory=dict
+    )
 
 
 @dataclass
@@ -265,53 +272,56 @@ def _self_shut(prep: PreparedInstance, i: int, xl: int, xr: int) -> bool:
     return xl + prep.dist[p.left][p.right] + xr > p.h - xl - xr
 
 
+def _open_mask(
+    prep: PreparedInstance, a: Anchor, xa: int, b: Anchor, xb: int, va: int, vb: int
+) -> int:
+    """The route mask of the ordered anchor pair (a, b) with placements at
+    offsets ``xa`` and ``xb``, or -1 when its gate is shut there.  Stored in
+    ``prep.open_masks``; callers look there first.  A shut pair's route mask
+    is never worked out."""
+    if a[0] == b[0]:
+        shut = _self_shut(prep, a[0], xa, xb)
+    else:
+        shut = _cross_shut(prep, a, b, xa, xb)
+    mask = -1
+    if not shut:
+        mask = prep.route_masks.get((va, vb))
+        if mask is None:
+            mask = _route_mask(prep, va, vb)
+    prep.open_masks[(a, xa, b, xb)] = mask
+    return mask
+
+
 def refute_guess(prep: PreparedInstance, applied: AppliedGuess) -> str | None:
     """Why the guess's program is infeasible at its root, without building it.
 
-    Returns ``"cover"`` when a target lies on no route of any ordered
-    anchor pair, ``"const-cover"`` when it lies only on routes whose gates
-    the constants shut (the same tests :func:`emit_ilp` folds into
-    ``gate <= 0`` rows), ``"const-margin"`` when a fixed placement deeper
-    than 1 has no open gate leaving its end, and None otherwise.  Each case
-    is a row of the program that root propagation proves infeasible.
+    Every ordered anchor pair is tested at the lower corner of the placement
+    ranges: a leafed end at its fixed offset, any other end at 1, the least
+    offset its ``>= 1`` row allows.  Each gap :func:`_cross_shut` and
+    :func:`_self_shut` compare is nondecreasing in both offsets, so a pair
+    shut at that corner is shut for every placement, which is the
+    ``gate <= 0`` that root propagation derives; any other pair is open.
+    Returns ``"cover"`` when a target lies on no open pair's route,
+    ``"margin"`` when a fixed offset above 1 has no open pair leaving its
+    end, and None otherwise.  Each case is a row of the program that root
+    propagation proves infeasible.
     """
     fixed = _fixed_offsets(prep, applied)
-    masks = prep.route_masks
-    reach = reach_open = 0
-    leaves_open = set()
-    # pairs of two fixed placements, whose gates the constants may shut
-    unsure: list[tuple[Anchor, Anchor, int]] = []
+    memo = prep.open_masks
+    reach = 0
+    leaving = set()
     for a, b, va, vb in _anchor_pairs(prep, applied.classes):
-        mask = masks.get((va, vb))
+        xa, xb = fixed.get(a, 1), fixed.get(b, 1)
+        mask = memo.get((a, xa, b, xb))
         if mask is None:
-            mask = _route_mask(prep, va, vb)
-        reach |= mask
-        if a in fixed and b in fixed:
-            unsure.append((a, b, mask))
-        else:
-            reach_open |= mask
-            leaves_open.add(a)
-    targets = _target_mask(prep, applied)
-    if targets & ~reach:
+            mask = _open_mask(prep, a, xa, b, xb, va, vb)
+        if mask >= 0:
+            reach |= mask
+            leaving.add(a)
+    if _target_mask(prep, applied) & ~reach:
         return "cover"
-    # shut tests only for pairs that could still cover a target or open a
-    # deep anchor's margin row
-    need = targets & ~reach_open
-    deep = {a for a, x in fixed.items() if x > 1 and a not in leaves_open}
-    for a, b, mask in unsure:
-        if not (mask & need or a in deep):
-            continue
-        if a[0] == b[0]:
-            shut = _self_shut(prep, a[0], fixed[a], fixed[b])
-        else:
-            shut = _cross_shut(prep, a, b, fixed[a], fixed[b])
-        if not shut:
-            need &= ~mask
-            deep.discard(a)
-    if need:
-        return "const-cover"
-    if deep:
-        return "const-margin"
+    if any(x > 1 and a not in leaving for a, x in fixed.items()):
+        return "margin"
     return None
 
 
@@ -616,7 +626,7 @@ def _effective_items(
 # where a guess ended, each counted in ``SolveResult.stats`` under its name
 OUTCOMES = (
     "guesses_refuted_cover",
-    "guesses_refuted_const",
+    "guesses_refuted_margin",
     "ilp_root_infeasible",
     "ilp_search_infeasible",
     "ilp_feasible",
@@ -631,10 +641,8 @@ def _process_guess(
     took and, when feasible, the certified solution of the fixpoint graph."""
     applied = apply_guess(prep, ctx)
     refuted = refute_guess(prep, applied)
-    if refuted == "cover":
-        return "guesses_refuted_cover", 0, None
     if refuted is not None:
-        return "guesses_refuted_const", 0, None
+        return f"guesses_refuted_{refuted}", 0, None
     model, meta = emit_ilp(prep, applied)
     res = solve_ilp(model, node_budget=node_budget)
     if res.status == BUDGET_EXHAUSTED:
@@ -701,7 +709,8 @@ def solve_fpt(
         raise GraphError("empty graph has no geodetic set")
     if not is_connected(g):
         raise DisconnectedError("solver requires a connected graph")
-    stats: dict = {"fen": feedback_edge_number(g)}
+    # connected, so the feedback edge number is m - n + 1
+    stats: dict = {"fen": g.m - g.n + 1}
     if g.n == 1:
         return SolveResult(
             OPTIMAL, 1, (0,), None if k is None else k >= 1, "single", stats

@@ -1,5 +1,6 @@
 """Tests for the guess-and-check exact solver."""
 
+import functools
 import os
 import random
 import re
@@ -31,7 +32,7 @@ from geodetic.oracle import min_geodetic_brute
 from geodetic.reduction import MutableGraph, reduce_to_fixpoint
 
 from conftest import complete_graph, cycle_graph, path_graph, star_graph, theta_graph
-from test_fpt_reference import reference_graft
+from test_fpt_reference import reference_graft, seeded_kernels
 
 
 def prepared(g):
@@ -387,14 +388,17 @@ def test_guess_outcomes_add_up(rng):
                 assert res.stats["ilp_budget_exhausted"] == 0
             for k in fpt.OUTCOMES:
                 totals[k] += res.stats[k]
+    # refutation leaves no model that dies at its root on these draws, and
     # an infeasible model that needs search is rare: 4 in 660 seeded solves
+    assert totals.pop("ilp_root_infeasible") == 0, totals
     del totals["ilp_search_infeasible"]
     assert min(totals.values()) > 0, totals
 
 
 def test_refuted_guesses_build_no_ilp(monkeypatch):
     # count-based guard: only guesses that survive the refutation reach
-    # emit_ilp, so models are built for 5 of this graph's 16 guesses
+    # emit_ilp, so of this graph's 16 guesses only the feasible one builds
+    # a model
     built = []
     real = fpt.emit_ilp
 
@@ -408,11 +412,39 @@ def test_refuted_guesses_build_no_ilp(monkeypatch):
     survivors = (
         stats["guesses_generated"]
         - stats["guesses_refuted_cover"]
-        - stats["guesses_refuted_const"]
+        - stats["guesses_refuted_margin"]
     )
-    assert len(built) <= survivors <= 5
+    assert len(built) == survivors == 1
     assert stats["guesses_generated"] == 16
-    assert stats["guesses_refuted_cover"] > 0 and stats["guesses_refuted_const"] > 0
+
+
+def test_shut_tests_grow_with_the_offsets():
+    # refute_guess tests each anchor pair at the lower corner of its
+    # placement ranges, which is sound because a pair shut at offsets
+    # (xa, xb) stays shut when either offset grows: so shut at (1, 1) or at
+    # a fixed corner means shut at every placement above it
+    mixed = 0
+    for prep in seeded_kernels(36, 40, 3):
+        paths = prep.fed.paths
+        every_segment = tuple(fpt.LEAFED for _ in paths)
+        for a, b, _va, _vb in fpt._anchor_pairs(prep, every_segment):
+            if a[0] == b[0]:
+                shut_at = functools.partial(fpt._self_shut, prep, a[0])
+            else:
+                shut_at = functools.partial(fpt._cross_shut, prep, a, b)
+            ha, hb = paths[a[0]].h, paths[b[0]].h
+            grid = [
+                [shut_at(xa, xb) for xb in range(1, hb + 1)] for xa in range(1, ha + 1)
+            ]
+            for xa in range(ha):
+                for xb in range(hb):
+                    if grid[xa][xb]:
+                        assert xa + 1 == ha or grid[xa + 1][xb], (a, b, xa + 1, xb + 1)
+                        assert xb + 1 == hb or grid[xa][xb + 1], (a, b, xa + 1, xb + 1)
+            mixed += 0 < sum(map(sum, grid)) < ha * hb
+    # the implications bite only on pairs that are shut at some offsets
+    # and open at others: 4004 of them on these kernels
+    assert mixed > 2_000, mixed
 
 
 def test_route_masks_are_computed_once_per_pair(monkeypatch):
