@@ -57,7 +57,6 @@ PAIR = "pair"  # exactly two interior solution vertices
 _COUNT_CLASS = (EMPTY, SINGLE, PAIR)
 
 Expr = tuple[list[tuple[int, int]], int]
-Anchor = tuple[int, int]  # end r of segment i, as (i, r)
 
 
 @dataclass(frozen=True)
@@ -77,12 +76,15 @@ class GuessContext:
 class PreparedInstance:
     """Fixpoint graph with everything the guess loop reads over and over.
 
-    ``ends`` maps each segment end (i, r) to its vertex, the vertex at the
-    segment's other end and the segment length h.  ``route_masks`` memoises
-    :func:`_route_mask` per ordered pair of segment end vertices for
-    :func:`refute_guess` and :func:`emit_ilp`, and ``open_masks`` memoises
-    :func:`_open_mask` per ordered anchor pair and offsets for
-    :func:`refute_guess`; both fill as guesses reach the pairs.
+    Segment i has length ``h[i]``, and its two ends lie ``d[i]`` apart in
+    the graph.  Its ends, the anchors, are numbered ``a = 2*i + r`` for
+    end r (0 at ``left``, 1 at ``right``): ``end[a]`` is the anchor's
+    vertex and ``end[a ^ 1]`` the vertex at the other end of its segment.
+    ``route_masks`` memoises :func:`_route_mask` per ordered pair of segment
+    end vertices for :func:`refute_guess` and :func:`emit_ilp`, and
+    ``open_masks`` memoises :func:`_open_mask` per ordered anchor pair and
+    offsets ``(a, xa, b, xb)`` for :func:`refute_guess`; both fill as
+    guesses reach the pairs.
     """
 
     work: MutableGraph
@@ -91,11 +93,11 @@ class PreparedInstance:
     empty_segments: tuple[int, ...]
     dist: dict[int, dict[int, int]]
     leaf_count: int
-    ends: dict[Anchor, tuple[int, int, int]]
+    end: tuple[int, ...]
+    h: tuple[int, ...]
+    d: tuple[int, ...]
     route_masks: dict[tuple[int, int], int] = field(default_factory=dict)
-    open_masks: dict[tuple[Anchor, int, Anchor, int], int] = field(
-        default_factory=dict
-    )
+    open_masks: dict[tuple[int, int, int, int], int] = field(default_factory=dict)
 
 
 @dataclass
@@ -104,14 +106,25 @@ class AppliedGuess:
 
     ``forced`` holds the solution vertices the guess decides outright: the
     chosen branch vertices and the pinned supports.  ``classes`` gives each
-    segment's class, and ``leafed`` the sorted positions whose vertices
-    count as leafed: the fixpoint's leafed positions, chosen ends and pins.
+    segment's class.  ``offsets[a]`` is anchor a's offset at the lower
+    corner of the placement ranges: on a leafed segment, the fixed distance
+    from that end to the nearest leafed position (a leaf of the fixpoint, a
+    chosen end or a pin); on any other, 1, the least its ``>= 1`` row
+    allows.  ``targets`` is the bitmask of what must lie on a claimed route:
+    bit i for an empty segment i with h >= 2, and bit ``len(paths) + j``
+    for ``open_branch[j]`` unchosen.  ``pairs`` lists the ordered pairs of
+    anchors of the segments that are not empty: first the pairs across
+    segments in anchors x anchors order, then each anchor with the other
+    end of its own segment.  :func:`emit_ilp` numbers its route gates in
+    this order.
     """
 
     ctx: GuessContext
     forced: tuple[int, ...]
     classes: tuple[str, ...]
-    leafed: tuple[tuple[int, ...], ...]
+    offsets: tuple[int, ...]
+    targets: int
+    pairs: list[tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -133,11 +146,12 @@ def prepare(work: MutableGraph, fed: FeedbackEdgeDecomposition) -> PreparedInsta
     empties = tuple(p.index for p in fed.paths if not p.leaf_positions)
     dist = {b: fed.distances_from(work, b) for b in fed.branch_vertices}
     leaf_count = sum(1 for v in work.labels() if work.degree(v) == 1)
-    ends = {}
-    for p in fed.paths:
-        ends[(p.index, 0)] = (p.left, p.right, p.h)
-        ends[(p.index, 1)] = (p.right, p.left, p.h)
-    return PreparedInstance(work, fed, open_branch, empties, dist, leaf_count, ends)
+    end = tuple(v for p in fed.paths for v in (p.left, p.right))
+    h = tuple(p.h for p in fed.paths)
+    d = tuple(dist[p.left][p.right] for p in fed.paths)
+    return PreparedInstance(
+        work, fed, open_branch, empties, dist, leaf_count, end, h, d
+    )
 
 
 def _subset_shape(
@@ -151,16 +165,16 @@ def _subset_shape(
     segment of length h can hold up to min(2, h - 1).
     """
     st = set(chosen)
+    end, hs = prep.end, prep.h
     base = prep.leaf_count + len(chosen)
     free: list[int] = []
     for i in prep.empty_segments:
-        p = prep.fed.paths[i]
-        if p.left in st or p.right in st:
-            if p.h > prep.dist[p.left][p.right]:
+        if end[2 * i] in st or end[2 * i + 1] in st:
+            if hs[i] > prep.d[i]:
                 base += 1
         else:
             free.append(i)
-    return base, tuple(free), tuple(min(2, prep.fed.paths[i].h - 1) for i in free)
+    return base, tuple(free), tuple(min(2, hs[i] - 1) for i in free)
 
 
 def candidate_size(prep: PreparedInstance, ctx: GuessContext) -> int:
@@ -177,18 +191,17 @@ def candidate_size(prep: PreparedInstance, ctx: GuessContext) -> int:
 
 def _route_mask(prep: PreparedInstance, va: int, vb: int) -> int:
     """The targets on a shortest va-vb path as a bitmask (see
-    :func:`_target_mask`): empty segments with h >= 2 that such a path can
-    cross end to end, and open branch vertices.  Stored in
+    ``AppliedGuess.targets``): empty segments with h >= 2 that such a path
+    can cross end to end, and open branch vertices.  Stored in
     ``prep.route_masks``; callers look there first."""
-    paths = prep.fed.paths
+    end, hs = prep.end, prep.h
     row_a, row_b = prep.dist[va], prep.dist[vb]
     d = row_a[vb]
     mask = 0
     for i in prep.empty_segments:
-        p = paths[i]
-        if p.h >= 2 and row_a[p.left] + p.h + row_b[p.right] == d:
+        if hs[i] >= 2 and row_a[end[2 * i]] + hs[i] + row_b[end[2 * i + 1]] == d:
             mask |= 1 << i
-    shift = len(paths)
+    shift = len(hs)
     for j, v in enumerate(prep.open_branch):
         if row_a[v] + row_b[v] == d:
             mask |= 1 << (shift + j)
@@ -196,66 +209,13 @@ def _route_mask(prep: PreparedInstance, va: int, vb: int) -> int:
     return mask
 
 
-def _target_mask(prep: PreparedInstance, applied: AppliedGuess) -> int:
-    """The targets of a guess as a bitmask: bit i for an empty segment i
-    with h >= 2, and bit ``len(paths) + j`` for ``open_branch[j]`` unchosen.
-    Each target must lie on a claimed route."""
-    paths = prep.fed.paths
-    chosen = set(applied.ctx.chosen)
-    mask = sum(
-        1 << i for i, c in enumerate(applied.classes) if c == EMPTY and paths[i].h >= 2
-    )
-    shift = len(paths)
-    return mask | sum(
-        1 << (shift + j) for j, v in enumerate(prep.open_branch) if v not in chosen
-    )
-
-
-def _fixed_offsets(
-    prep: PreparedInstance, applied: AppliedGuess
-) -> dict[tuple[int, int], int]:
-    """Placement offset of each end (i, r) of a leafed segment: the distance
-    from that end to the nearest leafed position."""
-    fixed = {}
-    for i, c in enumerate(applied.classes):
-        if c == LEAFED:
-            fixed[(i, 0)] = applied.leafed[i][0]
-            fixed[(i, 1)] = prep.fed.paths[i].h - applied.leafed[i][-1]
-    return fixed
-
-
-def _anchor_pairs(
-    prep: PreparedInstance, classes: tuple[str, ...]
-) -> list[tuple[Anchor, Anchor, int, int]]:
-    """Ordered pairs of anchors, the ends (i, r) of every segment that is not
-    empty, each with the two end vertices: first the pairs across segments
-    in anchors x anchors order, then each end with the other end of its own
-    segment.  :func:`emit_ilp` numbers its route gates in this order."""
-    ends = [
-        ((i, r), prep.ends[(i, r)][0])
-        for i, c in enumerate(classes)
-        if c != EMPTY
-        for r in (0, 1)
-    ]
-    pairs = [(a, b, va, vb) for a, va in ends for b, vb in ends if a[0] != b[0]]
-    for (a, va), (b, vb) in zip(ends[::2], ends[1::2]):
-        pairs += [(a, b, va, vb), (b, a, vb, va)]
-    return pairs
-
-
-def _cross_shut(
-    prep: PreparedInstance,
-    a: tuple[int, int],
-    b: tuple[int, int],
-    xa: int,
-    xb: int,
-) -> bool:
+def _cross_shut(prep: PreparedInstance, a: int, b: int, xa: int, xb: int) -> bool:
     """Whether the through route between two fixed placements, at offsets
-    ``xa`` from end a and ``xb`` from end b, is longer than a detour around
-    a segment end, so that the pair can never claim it."""
-    dist = prep.dist
-    va, wa, ha = prep.ends[a]
-    vb, wb, hb = prep.ends[b]
+    ``xa`` from anchor a and ``xb`` from anchor b, is longer than a detour
+    around a segment end, so that the pair can never claim it."""
+    dist, end, hs = prep.dist, prep.end, prep.h
+    va, wa, ha = end[a], end[a ^ 1], hs[a >> 1]
+    vb, wb, hb = end[b], end[b ^ 1], hs[b >> 1]
     length = xa + dist[va][vb] + xb
     alts = (
         xa + dist[va][wb] + hb - xb,
@@ -268,23 +228,21 @@ def _cross_shut(
 def _self_shut(prep: PreparedInstance, i: int, xl: int, xr: int) -> bool:
     """Whether the outside route between two fixed placements of segment i,
     at offsets ``xl`` and ``xr`` from its ends, is longer than the inside."""
-    p = prep.fed.paths[i]
-    return xl + prep.dist[p.left][p.right] + xr > p.h - xl - xr
+    return xl + prep.d[i] + xr > prep.h[i] - xl - xr
 
 
-def _open_mask(
-    prep: PreparedInstance, a: Anchor, xa: int, b: Anchor, xb: int, va: int, vb: int
-) -> int:
+def _open_mask(prep: PreparedInstance, a: int, xa: int, b: int, xb: int) -> int:
     """The route mask of the ordered anchor pair (a, b) with placements at
     offsets ``xa`` and ``xb``, or -1 when its gate is shut there.  Stored in
     ``prep.open_masks``; callers look there first.  A shut pair's route mask
     is never worked out."""
-    if a[0] == b[0]:
-        shut = _self_shut(prep, a[0], xa, xb)
+    if a >> 1 == b >> 1:
+        shut = _self_shut(prep, a >> 1, xa, xb)
     else:
         shut = _cross_shut(prep, a, b, xa, xb)
     mask = -1
     if not shut:
+        va, vb = prep.end[a], prep.end[b]
         mask = prep.route_masks.get((va, vb))
         if mask is None:
             mask = _route_mask(prep, va, vb)
@@ -295,9 +253,8 @@ def _open_mask(
 def refute_guess(prep: PreparedInstance, applied: AppliedGuess) -> str | None:
     """Why the guess's program is infeasible at its root, without building it.
 
-    Every ordered anchor pair is tested at the lower corner of the placement
-    ranges: a leafed end at its fixed offset, any other end at 1, the least
-    offset its ``>= 1`` row allows.  Each gap :func:`_cross_shut` and
+    Every pair of ``applied.pairs`` is tested at ``applied.offsets``, the
+    lower corner of the placement ranges.  Each gap :func:`_cross_shut` and
     :func:`_self_shut` compare is nondecreasing in both offsets, so a pair
     shut at that corner is shut for every placement, which is the
     ``gate <= 0`` that root propagation derives; any other pair is open.
@@ -306,21 +263,20 @@ def refute_guess(prep: PreparedInstance, applied: AppliedGuess) -> str | None:
     end, and None otherwise.  Each case is a row of the program that root
     propagation proves infeasible.
     """
-    fixed = _fixed_offsets(prep, applied)
+    offsets = applied.offsets
     memo = prep.open_masks
-    reach = 0
-    leaving = set()
-    for a, b, va, vb in _anchor_pairs(prep, applied.classes):
-        xa, xb = fixed.get(a, 1), fixed.get(b, 1)
-        mask = memo.get((a, xa, b, xb))
+    reach = leaving = 0
+    for a, b in applied.pairs:
+        key = (a, offsets[a], b, offsets[b])
+        mask = memo.get(key)
         if mask is None:
-            mask = _open_mask(prep, a, xa, b, xb, va, vb)
+            mask = _open_mask(prep, *key)
         if mask >= 0:
             reach |= mask
-            leaving.add(a)
-    if _target_mask(prep, applied) & ~reach:
+            leaving |= 1 << a
+    if applied.targets & ~reach:
         return "cover"
-    if any(x > 1 and a not in leaving for a, x in fixed.items()):
+    if any(x > 1 and not leaving >> a & 1 for a, x in enumerate(offsets)):
         return "margin"
     return None
 
@@ -339,20 +295,23 @@ def apply_guess(prep: PreparedInstance, ctx: GuessContext) -> AppliedGuess:
     counts = dict(ctx.interior_counts)
     forced = list(ctx.chosen)
     classes: list[str] = []
-    leafed: list[tuple[int, ...]] = []
+    offsets: list[int] = []
+    anchors: list[int] = []
+    targets = 0
     for p in prep.fed.paths:
-        h = p.h
+        i = p.index
+        h, left, right = prep.h[i], prep.end[2 * i] in st, prep.end[2 * i + 1] in st
         positions = set(p.leaf_positions)
-        if p.left in st:
+        if left:
             positions.add(0)
-        if p.right in st:
+        if right:
             positions.add(h)
         if not p.leaf_positions and positions:
-            d = prep.dist[p.left][p.right]
+            d = prep.d[i]
             if h > d:
-                if p.left in st and p.right in st:
+                if left and right:
                     pos = h // 2
-                elif p.left in st:
+                elif left:
                     pos = (h + d) // 2
                 else:
                     pos = h - (h + d) // 2
@@ -360,59 +319,70 @@ def apply_guess(prep: PreparedInstance, ctx: GuessContext) -> AppliedGuess:
                 positions.add(pos)
         if positions:
             classes.append(LEAFED)
+            offsets += (min(positions), h - max(positions))
         else:
-            classes.append(_COUNT_CLASS[counts[p.index]])
-        leafed.append(tuple(sorted(positions)))
-    return AppliedGuess(ctx, tuple(forced), tuple(classes), tuple(leafed))
+            classes.append(_COUNT_CLASS[counts[i]])
+            offsets += (1, 1)
+        if classes[-1] != EMPTY:
+            anchors += (2 * i, 2 * i + 1)
+        elif h >= 2:
+            targets |= 1 << i
+    shift = len(classes)
+    for j, v in enumerate(prep.open_branch):
+        if v not in st:
+            targets |= 1 << (shift + j)
+    pairs = [(a, b) for a in anchors for b in anchors if a >> 1 != b >> 1]
+    for a in anchors[::2]:
+        pairs += [(a, a + 1), (a + 1, a)]
+    return AppliedGuess(
+        ctx, tuple(forced), tuple(classes), tuple(offsets), targets, pairs
+    )
 
 
-def emit_ilp(prep: PreparedInstance, applied: AppliedGuess) -> tuple[IlpModel, dict]:
+def emit_ilp(
+    prep: PreparedInstance, applied: AppliedGuess
+) -> tuple[IlpModel, dict[int, int]]:
     """Build the placement feasibility program for one applied guess.
 
     Variables, in id order: route claims for the ordered anchor pairs of
-    :func:`_anchor_pairs` (across segments, then within a segment),
-    short-margin flags, route comparison helpers, and last the two
-    placement offsets of every single and pair segment.  Placements of
-    leafed segments are constants and fold into the rows instead of
-    becoming variables.
+    ``applied.pairs`` (across segments, then within a segment), short-margin
+    flags, route comparison helpers, and last the two placement offsets of
+    every single and pair segment.  Returns the model and the id of each
+    placement variable by anchor.  Placements of leafed segments are the
+    constants ``applied.offsets`` and fold into the rows instead of becoming
+    variables.
     """
-    paths = prep.fed.paths
-    dist = prep.dist
-    classes = applied.classes
+    dist, end, hs = prep.dist, prep.end, prep.h
+    classes, offsets, pairs = applied.classes, applied.offsets, applied.pairs
     # the edge count of the fixpoint with a leaf at every forced vertex
     big = 100 * (prep.work.m + len(applied.forced))
-    active = [i for i, c in enumerate(classes) if c != EMPTY]
-    anchors = [(i, r) for i in active for r in (0, 1)]
-    pairs = _anchor_pairs(prep, classes)
+    anchors = [a for a in range(len(offsets)) if classes[a >> 1] != EMPTY]
     model = IlpModel([], [])
 
     gates = [model.add_variable(0, 1) for _ in pairs]
-    z_cross: dict[tuple[Anchor, Anchor], int] = {}
-    z_self: dict[Anchor, int] = {}
-    cross_from: dict[Anchor, list[int]] = {a: [] for a in anchors}
-    for (a, b, _va, _vb), gate in zip(pairs, gates):
-        if a[0] != b[0]:
-            z_cross[(a, b)] = gate
+    z_self: dict[int, int] = {}
+    cross_from: dict[int, list[int]] = {a: [] for a in anchors}
+    for (a, b), gate in zip(pairs, gates):
+        if a >> 1 != b >> 1:
             cross_from[a].append(gate)
         else:
             z_self[a] = gate
     margin_ok = {a: model.add_variable(0, 1) for a in anchors}
     helper = {}
-    for pair in z_cross:
-        if classes[pair[0][0]] != LEAFED or classes[pair[1][0]] != LEAFED:
-            helper[pair] = tuple(model.add_variable(0, 1) for _ in range(3))
-    fixed = _fixed_offsets(prep, applied)
-    placed: dict[Anchor, int] = {}
-    for i in active:
-        if classes[i] != LEAFED:
-            h = paths[i].h
-            placed[(i, 0)] = model.add_variable(0, h)
-            placed[(i, 1)] = model.add_variable(0, h)
+    for a, b in pairs:
+        ia, ib = a >> 1, b >> 1
+        if ia != ib and (classes[ia] != LEAFED or classes[ib] != LEAFED):
+            helper[(a, b)] = tuple(model.add_variable(0, 1) for _ in range(3))
+    placed = {
+        a: model.add_variable(0, hs[a >> 1])
+        for a in anchors
+        if classes[a >> 1] != LEAFED
+    }
 
-    def offset(a: Anchor) -> Expr:
-        if a in fixed:
-            return [], fixed[a]
-        return [(placed[a], 1)], 0
+    def offset(a: int) -> Expr:
+        if a in placed:
+            return [(placed[a], 1)], 0
+        return [], offsets[a]
 
     def neg(expr: Expr) -> Expr:
         terms, const = expr
@@ -434,15 +404,14 @@ def emit_ilp(prep: PreparedInstance, applied: AppliedGuess) -> tuple[IlpModel, d
             model.add_constraint([(gate, 1)], "<=", 0)
 
     # placement ranges and interior spacing per open segment
-    for i in active:
-        if classes[i] == LEAFED:
+    for a in anchors[::2]:
+        if a not in placed:
             continue
-        h = paths[i].h
-        d = dist[paths[i].left][paths[i].right]
-        xl, xr = placed[(i, 0)], placed[(i, 1)]
+        h, d = hs[a >> 1], prep.d[a >> 1]
+        xl, xr = placed[a], placed[a + 1]
         model.add_constraint([(xl, 1)], ">=", 1)
         model.add_constraint([(xr, 1)], ">=", 1)
-        if classes[i] == SINGLE:
+        if classes[a >> 1] == SINGLE:
             model.add_constraint([(xl, 1), (xr, 1)], "<=", h)
             model.add_constraint([(xl, 1), (xr, 1)], ">=", h)
         else:
@@ -453,11 +422,12 @@ def emit_ilp(prep: PreparedInstance, applied: AppliedGuess) -> tuple[IlpModel, d
     # is no longer than any of the three detours around a segment end;
     # within one segment, the outside route between the two placements may
     # be claimed only if it is no longer than the inside stretch.  Every
-    # target (see _target_mask) must lie on a claimed route: one covering
+    # target (see AppliedGuess) must lie on a claimed route: one covering
     # row per target, in bit order.
-    targets = _target_mask(prep, applied)
+    targets = applied.targets
     cover = {1 << t: [] for t in range(targets.bit_length()) if targets >> t & 1}
-    for (a, b, va, vb), gate in zip(pairs, gates):
+    for (a, b), gate in zip(pairs, gates):
+        va, vb = end[a], end[b]
         mask = prep.route_masks.get((va, vb))
         if mask is None:
             mask = _route_mask(prep, va, vb)
@@ -465,20 +435,19 @@ def emit_ilp(prep: PreparedInstance, applied: AppliedGuess) -> tuple[IlpModel, d
         while hit:
             cover[hit & -hit].append((gate, 1))
             hit &= hit - 1
-        ia, ib = a[0], b[0]
+        ia, ib = a >> 1, b >> 1
         if ia == ib:
-            if a in fixed:
-                if _self_shut(prep, ia, fixed[a], fixed[b]):
-                    model.add_constraint([(gate, 1)], "<=", 0)
-            else:
+            if a in placed:
                 row = [(placed[a], 2), (placed[b], 2), (gate, big)]
-                model.add_constraint(row, "<=", big + paths[ia].h - dist[va][vb])
+                model.add_constraint(row, "<=", big + hs[ia] - prep.d[ia])
+            elif _self_shut(prep, ia, offsets[a], offsets[b]):
+                model.add_constraint([(gate, 1)], "<=", 0)
         elif (a, b) not in helper:
-            if _cross_shut(prep, a, b, fixed[a], fixed[b]):
+            if _cross_shut(prep, a, b, offsets[a], offsets[b]):
                 model.add_constraint([(gate, 1)], "<=", 0)
         else:
-            wa, ha = prep.ends[a][1:]
-            wb, hb = prep.ends[b][1:]
+            wa, ha = end[a ^ 1], hs[ia]
+            wb, hb = end[b ^ 1], hs[ib]
             through = [offset(a), offset(b), ([], dist[va][vb])]
             detours = (
                 [offset(a), neg(offset(b)), ([], dist[va][wb] + hb)],
@@ -496,48 +465,36 @@ def emit_ilp(prep: PreparedInstance, applied: AppliedGuess) -> tuple[IlpModel, d
     # route leaving through that end
     for a in anchors:
         flag = margin_ok[a]
-        if a in fixed:
-            if fixed[a] > 1:
-                model.add_constraint([(flag, 1)], "<=", 0)
-        else:
+        if a in placed:
             model.add_constraint([(placed[a], 1), (flag, big)], "<=", big + 1)
+        elif offsets[a] > 1:
+            model.add_constraint([(flag, 1)], "<=", 0)
         terms = [(flag, 1)]
         terms.extend((gate, 1) for gate in cross_from[a])
         terms.append((z_self[a], 1))
         model.add_constraint(terms, ">=", 1)
-
-    meta = {
-        "active": tuple(active),
-        "fixed": dict(fixed),
-        "placed": dict(placed),
-    }
-    return model, meta
+    return model, placed
 
 
 def reconstruct(
     prep: PreparedInstance,
     applied: AppliedGuess,
     assignment: dict[int, int],
-    meta: dict,
+    placed: dict[int, int],
 ) -> tuple[int, ...]:
     """Resolve a feasible assignment into a solution of the fixpoint graph:
-    its leaves, the forced vertices and the placements."""
-    classes = applied.classes
-
-    def value(key: tuple[int, int]) -> int:
-        if key in meta["fixed"]:
-            return meta["fixed"][key]
-        return assignment[meta["placed"][key]]
-
+    its leaves, the forced vertices and the placements of every single and
+    pair segment, read through ``placed``, the placement variable ids that
+    :func:`emit_ilp` returns by anchor."""
     solution = {v for v in prep.work.labels() if prep.work.degree(v) == 1}
     solution.update(applied.forced)
-    for i in meta["active"]:
-        if classes[i] == LEAFED:
+    for i, c in enumerate(applied.classes):
+        if c not in (SINGLE, PAIR):
             continue
         path = prep.fed.paths[i]
-        lo = value((i, 0))
-        hi = path.h - value((i, 1))
-        if classes[i] == SINGLE:
+        lo = assignment[placed[2 * i]]
+        hi = prep.h[i] - assignment[placed[2 * i + 1]]
+        if c == SINGLE:
             assert lo == hi
             solution.add(path.vertices[lo])
         else:
@@ -643,7 +600,7 @@ def _process_guess(
     refuted = refute_guess(prep, applied)
     if refuted is not None:
         return f"guesses_refuted_{refuted}", 0, None
-    model, meta = emit_ilp(prep, applied)
+    model, placed = emit_ilp(prep, applied)
     res = solve_ilp(model, node_budget=node_budget)
     if res.status == BUDGET_EXHAUSTED:
         return "ilp_budget_exhausted", res.nodes, None
@@ -651,7 +608,7 @@ def _process_guess(
         kind = "ilp_search_infeasible" if res.nodes else "ilp_root_infeasible"
         return kind, res.nodes, None
     assert res.assignment is not None
-    solution = reconstruct(prep, applied, res.assignment, meta)
+    solution = reconstruct(prep, applied, res.assignment, placed)
     graph, labels = prep.work.to_graph()
     index = {lab: j for j, lab in enumerate(labels)}
     if not is_geodetic(graph, [index[v] for v in solution]):

@@ -21,6 +21,11 @@ class GridTilingError(ValueError):
     """Malformed instance, or generation parameters that admit none."""
 
 
+def _check_sizes(k: int, m: int, n: int) -> None:
+    if k < 1 or m < 1 or n < 1:
+        raise GridTilingError("k, m, n must all be positive")
+
+
 @dataclass(frozen=True)
 class GridTilingInstance:
     k: int
@@ -29,8 +34,7 @@ class GridTilingInstance:
     tiles: tuple[tuple[tuple[Entry, ...], ...], ...]  # [i][j] -> sorted entries
 
     def __post_init__(self) -> None:
-        if self.k < 1 or self.m < 1 or self.n < 1:
-            raise GridTilingError("k, m, n must all be positive")
+        _check_sizes(self.k, self.m, self.n)
         if len(self.tiles) != self.k or any(len(row) != self.k for row in self.tiles):
             raise GridTilingError("tile grid must be k by k")
         for row in self.tiles:
@@ -99,6 +103,7 @@ def random_yes_instance(
     k: int, m: int, n: int, rng: random.Random
 ) -> tuple[GridTilingInstance, Solution]:
     """Instance with a planted solution: one x per row, one y per column."""
+    _check_sizes(k, m, n)
     row_x = [rng.randrange(1, m + 1) for _ in range(k)]
     col_y = [rng.randrange(1, m + 1) for _ in range(k)]
     planted = tuple(
@@ -114,6 +119,7 @@ def random_yes_instance(
 
 
 def random_instance(k: int, m: int, n: int, rng: random.Random) -> GridTilingInstance:
+    _check_sizes(k, m, n)
     tiles = tuple(
         tuple(_pad_tile([], m, n, rng) for _ in range(k)) for _ in range(k)
     )
@@ -128,6 +134,7 @@ def random_no_instance(
     Impossible for m = 1 (everything matches trivially), so callers must
     pass m >= 2; still raises if sampling keeps finding solvable instances.
     """
+    _check_sizes(k, m, n)
     if m < 2:
         raise GridTilingError("no-instances need m >= 2")
     for _ in range(max_tries):

@@ -211,6 +211,24 @@ def test_generate_negative_count_is_an_error(tmp_path, capsys, argv):
     assert not (tmp_path / "neg.graph").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["grid-tiling", "--k", "2", "--m", "0", "--n", "1", "--planted", "yes"],
+        ["grid-tiling", "--k", "2", "--m", "-2", "--n", "1", "--planted", "yes"],
+        ["grid-tiling", "--k", "2", "--m", "0", "--n", "1"],
+        ["grid-tiling", "--k", "0", "--m", "2", "--n", "1", "--planted", "no"],
+        ["gadget", "--k", "2", "--m", "-2", "--n", "1", "--planted", "yes"],
+    ],
+)
+def test_generate_grid_sizes_must_be_positive(tmp_path, capsys, argv):
+    # exit 1 would mean "no"; a bad size is an error, not a traceback
+    code = main(["generate", *argv, "--out", str(tmp_path / "bad")])
+    assert code == 2
+    assert capsys.readouterr().err == "error k, m, n must all be positive\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_solve_negative_node_budget_is_an_error(tmp_path, capsys):
     prefix = str(tmp_path / "d16")
     argv = ["generate", "random-fen", "--n", "16", "--fen", "6", "--seed", "4"]

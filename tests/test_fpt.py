@@ -6,7 +6,7 @@ import random
 import re
 import subprocess
 import sys
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -32,7 +32,12 @@ from geodetic.oracle import min_geodetic_brute
 from geodetic.reduction import MutableGraph, reduce_to_fixpoint
 
 from conftest import complete_graph, cycle_graph, path_graph, star_graph, theta_graph
-from test_fpt_reference import reference_graft, seeded_kernels
+from test_fpt_reference import (
+    raw_guess_count,
+    reference_graft,
+    reference_record,
+    seeded_kernels,
+)
 
 
 def prepared(g):
@@ -222,15 +227,28 @@ def test_guess_stream_is_lazy():
     assert size == prep.leaf_count
 
 
-def test_leafed_positions_stay_inside_snapshot_and_pins():
-    _, prep = prepared(theta_graph((2, 2, 3)))
-    for ctx in guesses(prep):
-        applied = apply_guess(prep, ctx)
-        pinned = set(applied.forced) - set(ctx.chosen)
-        for i, p in enumerate(prep.fed.paths):
-            allowed = set(p.leaf_positions) | {0, p.h}
-            allowed |= {j for j, v in enumerate(p.vertices) if v in pinned}
-            assert set(applied.leafed[i]) <= allowed
+def test_guess_record_matches_grafted_reference():
+    # every guess of seeded kernels: a leafed anchor sits at its distance to
+    # the nearest leafed vertex of the grafted copy, any other anchor at 1,
+    # and the targets are the grafted copy's empty segments and unleafed
+    # open branch vertices
+    guesses_seen = deep_seen = 0
+    for prep in seeded_kernels(37, 60, 2):
+        if raw_guess_count(prep) > 3_000:
+            continue
+        for _size, _seq, ctx in _effective_items(prep):
+            applied = apply_guess(prep, ctx)
+            work, _trace = reference_graft(prep, ctx)
+            fixed, targets = reference_record(prep, ctx, work)
+            anchors = range(len(applied.offsets))
+            leafed = [a for a in anchors if applied.classes[a // 2] == fpt.LEAFED]
+            assert leafed == sorted(fixed)
+            assert applied.offsets == tuple(fixed.get(a, 1) for a in anchors)
+            assert applied.targets == targets
+            guesses_seen += 1
+            deep_seen += sum(x > 1 for x in fixed.values())
+    # 3202 guesses on 35 kernels, with 7113 fixed offsets above 1
+    assert guesses_seen > 3_000 and deep_seen > 5_000, (guesses_seen, deep_seen)
 
 
 def test_guess_leaves_do_not_change_branch_distances():
@@ -285,11 +303,11 @@ def test_candidate_size_matches_reconstruction():
     _, prep = prepared(theta_graph((2, 3, 4)))
     for ctx in guesses(prep):
         applied = apply_guess(prep, ctx)
-        model, meta = emit_ilp(prep, applied)
+        model, placed = emit_ilp(prep, applied)
         res = solve_ilp(model)
         if res.status != FEASIBLE:
             continue
-        solution = reconstruct(prep, applied, res.assignment, meta)
+        solution = reconstruct(prep, applied, res.assignment, placed)
         assert len(solution) == candidate_size(prep, ctx)
 
 
@@ -341,6 +359,19 @@ def test_matches_oracle_at_fen_5_to_9(g):
     assert res.status == OPTIMAL
     assert res.optimum == oracle.size
     assert is_geodetic(g, res.witness)
+
+
+def test_matches_oracle_at_fen_10_to_14():
+    # above fen 9, where most guesses are refuted before a model is built
+    draws = random.Random(43)
+    for _ in range(30):
+        fen = draws.randint(10, 14)
+        g = random_fen_graph(draws.randint(18, 22), fen, draws)
+        oracle = min_geodetic_brute(g)
+        res = solve_fpt(g)
+        assert res.status == OPTIMAL, (g.n, g.edges)
+        assert res.optimum == oracle.size, (g.n, g.edges, oracle.size, res.optimum)
+        assert is_geodetic(g, res.witness)
 
 
 def test_budget_exhaustion_degrades_to_unknown():
@@ -425,14 +456,13 @@ def test_shut_tests_grow_with_the_offsets():
     # a fixed corner means shut at every placement above it
     mixed = 0
     for prep in seeded_kernels(36, 40, 3):
-        paths = prep.fed.paths
-        every_segment = tuple(fpt.LEAFED for _ in paths)
-        for a, b, _va, _vb in fpt._anchor_pairs(prep, every_segment):
-            if a[0] == b[0]:
-                shut_at = functools.partial(fpt._self_shut, prep, a[0])
+        # every ordered pair of anchors 2*i + r, across and within segments
+        for a, b in permutations(range(2 * len(prep.h)), 2):
+            if a // 2 == b // 2:
+                shut_at = functools.partial(fpt._self_shut, prep, a // 2)
             else:
                 shut_at = functools.partial(fpt._cross_shut, prep, a, b)
-            ha, hb = paths[a[0]].h, paths[b[0]].h
+            ha, hb = prep.h[a // 2], prep.h[b // 2]
             grid = [
                 [shut_at(xa, xb) for xb in range(1, hb + 1)] for xa in range(1, ha + 1)
             ]

@@ -4,13 +4,13 @@ against the code they replaced.
 ``eager_items`` is the guess list the solver used to build and sort in
 full (with the segment-by-segment ``reference_candidate_size``), and
 ``pairwise_emit_ilp`` the model builder that rescanned every ordered anchor
-pair for each covered target.  ``reference_graft`` and
-``reference_reconstruct`` are the guess application that copied the
-fixpoint graph, hung a leaf on every forced vertex and solved on that
-grafted copy.  They are kept here as the references for
-:func:`geodetic.fpt._effective_items`, :func:`geodetic.fpt.candidate_size`,
-:func:`geodetic.fpt.emit_ilp`, :func:`geodetic.fpt.apply_guess` and
-:func:`geodetic.fpt.reconstruct`.
+pair for each covered target.  ``reference_graft``, ``reference_record``
+and ``reference_reconstruct`` are the guess application that copied the
+fixpoint graph, hung a leaf on every forced vertex and read the offsets,
+targets and solution off that grafted copy.  They are kept here as the
+references for :func:`geodetic.fpt._effective_items`,
+:func:`geodetic.fpt.candidate_size`, :func:`geodetic.fpt.emit_ilp`,
+:func:`geodetic.fpt.apply_guess` and :func:`geodetic.fpt.reconstruct`.
 """
 
 import collections
@@ -85,16 +85,42 @@ def reference_graft(prep, ctx):
     return work, trace
 
 
-def reference_reconstruct(prep, applied, work, assignment, meta):
+def reference_record(prep, ctx, work):
+    """Reference: what the grafted copy ``work`` fixes for a guess.
+
+    Returns the offset of each end 2*i + r of every segment i that carries
+    a leafed vertex, the distance from that end to the nearest one, and the
+    targets as a bitmask: bit i for a segment i of length h >= 2 with no
+    leafed vertex and an interior count of 0, and bit ``len(paths) + j``
+    for ``open_branch[j]`` when the guess hung no leaf on it.
+    """
+    counts = dict(ctx.interior_counts)
+    fixed = {}
+    targets = 0
+    for i, p in enumerate(prep.fed.paths):
+        leafed = [j for j, v in enumerate(p.vertices) if work.is_leafed(v)]
+        if leafed:
+            fixed[2 * i] = leafed[0]
+            fixed[2 * i + 1] = p.h - leafed[-1]
+        elif counts[i] == 0 and p.h >= 2:
+            targets |= 1 << i
+    shift = len(prep.fed.paths)
+    for j, v in enumerate(prep.open_branch):
+        if not work.is_leafed(v):
+            targets |= 1 << (shift + j)
+    return fixed, targets
+
+
+def reference_reconstruct(prep, applied, work, assignment, placed):
     """Reference: a solution of the grafted graph ``work``, its leaves and
     the placements."""
     solution = {v for v in work.labels() if work.degree(v) == 1}
-    for i in meta["active"]:
-        if applied.classes[i] == LEAFED:
+    for i, c in enumerate(applied.classes):
+        if c in (LEAFED, EMPTY):
             continue
         path = prep.fed.paths[i]
-        lo = assignment[meta["placed"][(i, 0)]]
-        hi = path.h - assignment[meta["placed"][(i, 1)]]
+        lo = assignment[placed[2 * i]]
+        hi = path.h - assignment[placed[2 * i + 1]]
         solution.update((path.vertices[lo], path.vertices[hi]))
     return tuple(sorted(solution))
 
@@ -160,41 +186,40 @@ def pairwise_emit_ilp(prep, applied):
     fed = prep.fed
     dist = prep.dist
     classes = applied.classes
-    big = 100 * reference_graft(prep, applied.ctx)[0].m
+    work = reference_graft(prep, applied.ctx)[0]
+    big = 100 * work.m
     active = [i for i, c in enumerate(classes) if c != EMPTY]
     sweep = [i for i, c in enumerate(classes) if c == EMPTY]
-    anchors = [(i, r) for i in active for r in (0, 1)]
+    anchors = [2 * i + r for i in active for r in (0, 1)]
     model = IlpModel([], [])
 
     # the end vertex of each anchor, looked up once
     end = {
-        (i, r): fed.paths[i].left if r == 0 else fed.paths[i].right
-        for i, r in anchors
+        2 * i + r: fed.paths[i].left if r == 0 else fed.paths[i].right
+        for i in active
+        for r in (0, 1)
     }
 
     z_cross = {}
     cross_from = {a: [] for a in anchors}
     for a in anchors:
         for b in anchors:
-            if a[0] != b[0]:
+            if a // 2 != b // 2:
                 z_cross[(a, b)] = model.add_variable(0, 1)
                 cross_from[a].append(z_cross[(a, b)])
     z_self = {a: model.add_variable(0, 1) for a in anchors}
     margin_ok = {a: model.add_variable(0, 1) for a in anchors}
     helper = {}
     for pair in z_cross:
-        if classes[pair[0][0]] != LEAFED or classes[pair[1][0]] != LEAFED:
+        if classes[pair[0] // 2] != LEAFED or classes[pair[1] // 2] != LEAFED:
             helper[pair] = tuple(model.add_variable(0, 1) for _ in range(3))
-    fixed = {}
+    fixed, _targets = reference_record(prep, applied.ctx, work)
     placed = {}
     for i in active:
         h = fed.paths[i].h
-        if classes[i] == LEAFED:
-            fixed[(i, 0)] = applied.leafed[i][0]
-            fixed[(i, 1)] = h - applied.leafed[i][-1]
-        else:
-            placed[(i, 0)] = model.add_variable(0, h)
-            placed[(i, 1)] = model.add_variable(0, h)
+        if classes[i] != LEAFED:
+            placed[2 * i] = model.add_variable(0, h)
+            placed[2 * i + 1] = model.add_variable(0, h)
 
     def offset(a):
         if a in fixed:
@@ -224,7 +249,7 @@ def pairwise_emit_ilp(prep, applied):
             continue
         h = fed.paths[i].h
         d = dist[fed.paths[i].left][fed.paths[i].right]
-        xl, xr = placed[(i, 0)], placed[(i, 1)]
+        xl, xr = placed[2 * i], placed[2 * i + 1]
         model.add_constraint([(xl, 1)], ">=", 1)
         model.add_constraint([(xr, 1)], ">=", 1)
         if classes[i] == SINGLE:
@@ -235,11 +260,11 @@ def pairwise_emit_ilp(prep, applied):
             model.add_constraint([(xl, -2), (xr, -2)], "<=", d - h)
 
     for (a, b), gate in z_cross.items():
-        ia, ra = a
-        ib, rb = b
+        ia, ra = divmod(a, 2)
+        ib, rb = divmod(b, 2)
         ha, hb = fed.paths[ia].h, fed.paths[ib].h
-        va, wa = end[a], end[(ia, 1 - ra)]
-        vb, wb = end[b], end[(ib, 1 - rb)]
+        va, wa = end[a], end[2 * ia + 1 - ra]
+        vb, wb = end[b], end[2 * ib + 1 - rb]
         if (a, b) in helper:
             through = [offset(a), offset(b), ([], dist[va][vb])]
             detours = (
@@ -263,10 +288,10 @@ def pairwise_emit_ilp(prep, applied):
                 model.add_constraint([(gate, 1)], "<=", 0)
 
     for a, gate in z_self.items():
-        i, r = a
+        i, r = divmod(a, 2)
         h = fed.paths[i].h
         d = dist[fed.paths[i].left][fed.paths[i].right]
-        other = (i, 1 - r)
+        other = 2 * i + 1 - r
         if a in fixed:
             through = fixed[a] + d + fixed[other]
             inside = h - fixed[a] - fixed[other]
@@ -278,7 +303,7 @@ def pairwise_emit_ilp(prep, applied):
 
     ordered_pairs = [(end[a], end[b], gate) for (a, b), gate in z_cross.items()]
     ordered_pairs += [
-        (end[(i, r)], end[(i, 1 - r)], gate) for (i, r), gate in z_self.items()
+        (end[a], end[a ^ 1], gate) for a, gate in z_self.items()
     ]
 
     for i in sweep:
@@ -314,12 +339,7 @@ def pairwise_emit_ilp(prep, applied):
         terms.append((z_self[a], 1))
         model.add_constraint(terms, ">=", 1)
 
-    meta = {
-        "active": tuple(active),
-        "fixed": dict(fixed),
-        "placed": dict(placed),
-    }
-    return model, meta
+    return model, placed
 
 
 def seeded_kernels(seed, count, stretch):
@@ -392,8 +412,8 @@ def test_emit_ilp_matches_pairwise_reference():
     for prep in seeded_kernels(32, 200, 0):
         for _size, _seq, ctx in _effective_items(prep):
             applied = apply_guess(prep, ctx)
-            model, meta = emit_ilp(prep, applied)
-            assert (model, meta) == pairwise_emit_ilp(prep, applied)
+            model, placed = emit_ilp(prep, applied)
+            assert (model, placed) == pairwise_emit_ilp(prep, applied)
             models += 1
             res = solve_ilp(model)
             if res.status == FEASIBLE:
@@ -404,8 +424,8 @@ def test_emit_ilp_matches_pairwise_reference():
         # every move of one vertex that is not a grafted leaf to a
         # neighbour outside the solution
         work, trace = reference_graft(prep, ctx)
-        grafted = reference_reconstruct(prep, applied, work, res.assignment, meta)
-        solution = reconstruct(prep, applied, res.assignment, meta)
+        grafted = reference_reconstruct(prep, applied, work, res.assignment, placed)
+        solution = reconstruct(prep, applied, res.assignment, placed)
         assert lift_witness(trace, grafted) == solution
         assert geodetic_on(work, grafted) and geodetic_on(prep.work, solution)
         leaves = {e.info["leaf"] for e in trace}

@@ -368,7 +368,7 @@ def test_row_queue_matches_full_sweep_on_emitted_models():
             continue
         prep = prepare(red.graph, red.decomposition)
         for _size, _seq, ctx in itertools.islice(_effective_items(prep), 40):
-            model, _meta = emit_ilp(prep, apply_guess(prep, ctx))
+            model, _placed = emit_ilp(prep, apply_guess(prep, ctx))
             for budget in BUDGETS:
                 got = solve(model, node_budget=budget)
                 assert got == reference_solve(model, node_budget=budget)
