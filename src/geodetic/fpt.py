@@ -21,6 +21,8 @@ import heapq
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import itemgetter, or_
 
 from geodetic.graph import (
     DisconnectedError,
@@ -56,8 +58,6 @@ PAIR = "pair"  # exactly two interior solution vertices
 
 _COUNT_CLASS = (EMPTY, SINGLE, PAIR)
 
-Expr = tuple[list[tuple[int, int]], int]
-
 
 @dataclass(frozen=True)
 class GuessContext:
@@ -80,11 +80,23 @@ class PreparedInstance:
     the graph.  Its ends, the anchors, are numbered ``a = 2*i + r`` for
     end r (0 at ``left``, 1 at ``right``): ``end[a]`` is the anchor's
     vertex and ``end[a ^ 1]`` the vertex at the other end of its segment.
+
+    ``gaps[a * len(end) + b]`` is the gap triple of an ordered pair of
+    anchors on different segments: the through route between placements at
+    offsets 0 from a and from b, minus each of the three detours around a
+    segment end (see :func:`_cross_shut`); None within one segment.
+    Placements at offsets xa and xb add ``2*xb``, ``2*xa`` and
+    ``2*xa + 2*xb`` to the three gaps, so the triple serves the shut test
+    and the model's detour rows alike.
+
     ``route_masks`` memoises :func:`_route_mask` per ordered pair of segment
-    end vertices for :func:`refute_guess` and :func:`emit_ilp`, and
-    ``open_masks`` memoises :func:`_open_mask` per ordered anchor pair and
-    offsets ``(a, xa, b, xb)`` for :func:`refute_guess`; both fill as
-    guesses reach the pairs.
+    end vertices for :func:`refute_guess` and :func:`emit_ilp`.
+    ``open_rows`` memoises the shut tests for :func:`refute_guess`: the row
+    of anchor a at offset x sits under the key ``a * width + x``, with
+    ``width = max(h) + 1``, and maps the key ``b * width + xb`` of an anchor
+    b at offset xb to the pair's route mask with the bit ``open_bit`` (just
+    above the target bits) set, or to 0 when the pair is shut there or
+    b = a.  Both memos fill as guesses reach the pairs.
     """
 
     work: MutableGraph
@@ -96,8 +108,11 @@ class PreparedInstance:
     end: tuple[int, ...]
     h: tuple[int, ...]
     d: tuple[int, ...]
+    gaps: tuple[tuple[int, int, int] | None, ...]
+    width: int
+    open_bit: int
     route_masks: dict[tuple[int, int], int] = field(default_factory=dict)
-    open_masks: dict[tuple[int, int, int, int], int] = field(default_factory=dict)
+    open_rows: dict[int, dict[int, int]] = field(default_factory=dict)
 
 
 @dataclass
@@ -112,11 +127,9 @@ class AppliedGuess:
     chosen end or a pin); on any other, 1, the least its ``>= 1`` row
     allows.  ``targets`` is the bitmask of what must lie on a claimed route:
     bit i for an empty segment i with h >= 2, and bit ``len(paths) + j``
-    for ``open_branch[j]`` unchosen.  ``pairs`` lists the ordered pairs of
-    anchors of the segments that are not empty: first the pairs across
-    segments in anchors x anchors order, then each anchor with the other
-    end of its own segment.  :func:`emit_ilp` numbers its route gates in
-    this order.
+    for ``open_branch[j]`` unchosen.  ``anchors`` lists, in increasing
+    order, the anchors of the segments that are not empty: the ends
+    between which routes can be claimed.
     """
 
     ctx: GuessContext
@@ -124,7 +137,7 @@ class AppliedGuess:
     classes: tuple[str, ...]
     offsets: tuple[int, ...]
     targets: int
-    pairs: list[tuple[int, int]]
+    anchors: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -149,8 +162,26 @@ def prepare(work: MutableGraph, fed: FeedbackEdgeDecomposition) -> PreparedInsta
     end = tuple(v for p in fed.paths for v in (p.left, p.right))
     h = tuple(p.h for p in fed.paths)
     d = tuple(dist[p.left][p.right] for p in fed.paths)
+    other = [end[a ^ 1] for a in range(len(end))]
+    seg_h = [h[a >> 1] for a in range(len(end))]
+    gaps: list[tuple[int, int, int] | None] = []
+    for a, va in enumerate(end):
+        from_v, from_w, ha = dist[va], dist[other[a]], seg_h[a]
+        row: list[tuple[int, int, int] | None] = [
+            (
+                from_v[vb] - from_v[wb] - hb,
+                from_v[vb] - from_w[vb] - ha,
+                from_v[vb] - from_w[wb] - ha - hb,
+            )
+            for vb, wb, hb in zip(end, other, seg_h)
+        ]
+        row[a & ~1] = row[a | 1] = None
+        gaps += row
+    width = max(h, default=0) + 1
+    open_bit = 1 << (len(h) + len(open_branch))
     return PreparedInstance(
-        work, fed, open_branch, empties, dist, leaf_count, end, h, d
+        work, fed, open_branch, empties, dist, leaf_count, end, h, d,
+        tuple(gaps), width, open_bit,
     )
 
 
@@ -212,17 +243,10 @@ def _route_mask(prep: PreparedInstance, va: int, vb: int) -> int:
 def _cross_shut(prep: PreparedInstance, a: int, b: int, xa: int, xb: int) -> bool:
     """Whether the through route between two fixed placements, at offsets
     ``xa`` from anchor a and ``xb`` from anchor b, is longer than a detour
-    around a segment end, so that the pair can never claim it."""
-    dist, end, hs = prep.dist, prep.end, prep.h
-    va, wa, ha = end[a], end[a ^ 1], hs[a >> 1]
-    vb, wb, hb = end[b], end[b ^ 1], hs[b >> 1]
-    length = xa + dist[va][vb] + xb
-    alts = (
-        xa + dist[va][wb] + hb - xb,
-        ha - xa + dist[wa][vb] + xb,
-        ha - xa + dist[wa][wb] + hb - xb,
-    )
-    return length > min(alts)
+    around a segment end, so that the pair can never claim it.  Reads the
+    pair's gap triple (see ``PreparedInstance.gaps``)."""
+    g1, g2, g3 = prep.gaps[a * len(prep.end) + b]
+    return g1 + 2 * xb > 0 or g2 + 2 * xa > 0 or g3 + 2 * (xa + xb) > 0
 
 
 def _self_shut(prep: PreparedInstance, i: int, xl: int, xr: int) -> bool:
@@ -231,52 +255,73 @@ def _self_shut(prep: PreparedInstance, i: int, xl: int, xr: int) -> bool:
     return xl + prep.d[i] + xr > prep.h[i] - xl - xr
 
 
-def _open_mask(prep: PreparedInstance, a: int, xa: int, b: int, xb: int) -> int:
-    """The route mask of the ordered anchor pair (a, b) with placements at
-    offsets ``xa`` and ``xb``, or -1 when its gate is shut there.  Stored in
-    ``prep.open_masks``; callers look there first.  A shut pair's route mask
-    is never worked out."""
-    if a >> 1 == b >> 1:
-        shut = _self_shut(prep, a >> 1, xa, xb)
-    else:
-        shut = _cross_shut(prep, a, b, xa, xb)
-    mask = -1
-    if not shut:
-        va, vb = prep.end[a], prep.end[b]
+def _fill_row(
+    prep: PreparedInstance, row: dict[int, int], a: int, xa: int, keys: list[int]
+) -> None:
+    """Add to ``row``, the ``open_rows`` row of anchor a at offset ``xa``,
+    the entry of every anchor key of ``keys`` it lacks.  A shut pair's
+    route mask is never worked out."""
+    end, width = prep.end, prep.width
+    for key in keys:
+        if key in row:
+            continue
+        b, xb = divmod(key, width)
+        if b == a:
+            shut = True
+        elif b == a ^ 1:
+            shut = _self_shut(prep, a >> 1, xa, xb)
+        else:
+            shut = _cross_shut(prep, a, b, xa, xb)
+        if shut:
+            row[key] = 0
+            continue
+        va, vb = end[a], end[b]
         mask = prep.route_masks.get((va, vb))
         if mask is None:
             mask = _route_mask(prep, va, vb)
-    prep.open_masks[(a, xa, b, xb)] = mask
-    return mask
+        row[key] = mask | prep.open_bit
 
 
 def refute_guess(prep: PreparedInstance, applied: AppliedGuess) -> str | None:
     """Why the guess's program is infeasible at its root, without building it.
 
-    Every pair of ``applied.pairs`` is tested at ``applied.offsets``, the
-    lower corner of the placement ranges.  Each gap :func:`_cross_shut` and
-    :func:`_self_shut` compare is nondecreasing in both offsets, so a pair
-    shut at that corner is shut for every placement, which is the
-    ``gate <= 0`` that root propagation derives; any other pair is open.
-    Returns ``"cover"`` when a target lies on no open pair's route,
-    ``"margin"`` when a fixed offset above 1 has no open pair leaving its
-    end, and None otherwise.  Each case is a row of the program that root
-    propagation proves infeasible.
+    Every ordered pair of ``applied.anchors`` on different segments, and
+    every anchor with the other end of its own segment, is tested at
+    ``applied.offsets``, the lower corner of the placement ranges.  Each gap
+    :func:`_cross_shut` and :func:`_self_shut` compare is nondecreasing in
+    both offsets, so a pair shut at that corner is shut for every
+    placement, which is the ``gate <= 0`` that root propagation derives;
+    any other pair is open.  Each anchor's pairs come from its
+    ``open_rows`` row in one ``itemgetter`` call, OR-ed together: the
+    result holds the routes of its open pairs, and ``open_bit`` when one
+    is open.  Returns ``"cover"`` when a target lies on no open pair's
+    route, ``"margin"`` when a fixed offset above 1 has no open pair
+    leaving its end, and None otherwise.  Each case is a row of the program
+    that root propagation proves infeasible.
     """
-    offsets = applied.offsets
-    memo = prep.open_masks
-    reach = leaving = 0
-    for a, b in applied.pairs:
-        key = (a, offsets[a], b, offsets[b])
-        mask = memo.get(key)
-        if mask is None:
-            mask = _open_mask(prep, *key)
-        if mask >= 0:
-            reach |= mask
-            leaving |= 1 << a
+    offsets, anchors = applied.offsets, applied.anchors
+    reach = 0
+    margin = False
+    if anchors:
+        width, open_bit, rows = prep.width, prep.open_bit, prep.open_rows
+        keys = [b * width + offsets[b] for b in anchors]
+        # anchors come in pairs, so the getter always returns a tuple
+        get = itemgetter(*keys)
+        for a, key in zip(anchors, keys):
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = {}
+            try:
+                union = reduce(or_, get(row))
+            except KeyError:
+                _fill_row(prep, row, a, offsets[a], keys)
+                union = reduce(or_, get(row))
+            reach |= union
+            if not union & open_bit and offsets[a] > 1:
+                margin = True
     if applied.targets & ~reach:
         return "cover"
-    if any(x > 1 and not leaving >> a & 1 for a, x in enumerate(offsets)):
+    if margin:
         return "margin"
     return None
 
@@ -331,11 +376,8 @@ def apply_guess(prep: PreparedInstance, ctx: GuessContext) -> AppliedGuess:
     for j, v in enumerate(prep.open_branch):
         if v not in st:
             targets |= 1 << (shift + j)
-    pairs = [(a, b) for a in anchors for b in anchors if a >> 1 != b >> 1]
-    for a in anchors[::2]:
-        pairs += [(a, a + 1), (a + 1, a)]
     return AppliedGuess(
-        ctx, tuple(forced), tuple(classes), tuple(offsets), targets, pairs
+        ctx, tuple(forced), tuple(classes), tuple(offsets), targets, tuple(anchors)
     )
 
 
@@ -344,21 +386,25 @@ def emit_ilp(
 ) -> tuple[IlpModel, dict[int, int]]:
     """Build the placement feasibility program for one applied guess.
 
-    Variables, in id order: route claims for the ordered anchor pairs of
-    ``applied.pairs`` (across segments, then within a segment), short-margin
-    flags, route comparison helpers, and last the two placement offsets of
-    every single and pair segment.  Returns the model and the id of each
-    placement variable by anchor.  Placements of leafed segments are the
-    constants ``applied.offsets`` and fold into the rows instead of becoming
+    The route gates are numbered over the ordered pairs of
+    ``applied.anchors``: first the pairs across segments in anchors x
+    anchors order, then each anchor with the other end of its own segment.
+    Variables, in id order: those gates, short-margin flags, route
+    comparison helpers, and last the two placement offsets of every single
+    and pair segment.  Returns the model and the id of each placement
+    variable by anchor.  Placements of leafed segments are the constants
+    ``applied.offsets`` and fold into the rows instead of becoming
     variables.
     """
-    dist, end, hs = prep.dist, prep.end, prep.h
-    classes, offsets, pairs = applied.classes, applied.offsets, applied.pairs
+    end, hs, gaps = prep.end, prep.h, prep.gaps
+    classes, offsets, anchors = applied.classes, applied.offsets, applied.anchors
     # the edge count of the fixpoint with a leaf at every forced vertex
     big = 100 * (prep.work.m + len(applied.forced))
-    anchors = [a for a in range(len(offsets)) if classes[a >> 1] != EMPTY]
     model = IlpModel([], [])
 
+    pairs = [(a, b) for a in anchors for b in anchors if a >> 1 != b >> 1]
+    for a in anchors[::2]:
+        pairs += [(a, a + 1), (a + 1, a)]
     gates = [model.add_variable(0, 1) for _ in pairs]
     z_self: dict[int, int] = {}
     cross_from: dict[int, list[int]] = {a: [] for a in anchors}
@@ -378,30 +424,11 @@ def emit_ilp(
         for a in anchors
         if classes[a >> 1] != LEAFED
     }
-
-    def offset(a: int) -> Expr:
-        if a in placed:
-            return [(placed[a], 1)], 0
-        return [], offsets[a]
-
-    def neg(expr: Expr) -> Expr:
-        terms, const = expr
-        return [(v, -c) for v, c in terms], -const
-
-    def route_gap(gate: int, plus: list[Expr], minus: list[Expr]) -> None:
-        """Add sum(plus) - sum(minus) <= big * (1 - gate), folding constants."""
-        terms: list[tuple[int, int]] = []
-        const = 0
-        for t, c in plus:
-            terms.extend(t)
-            const += c
-        for t, c in minus:
-            terms.extend((v, -k) for v, k in t)
-            const -= c
-        if terms:
-            model.add_constraint(terms + [(gate, big)], "<=", big - const)
-        elif const > 0:
-            model.add_constraint([(gate, 1)], "<=", 0)
+    # twice each anchor's offset, as terms and a constant
+    twice = {
+        a: ([(placed[a], 2)], 0) if a in placed else ([], 2 * offsets[a])
+        for a in anchors
+    }
 
     # placement ranges and interior spacing per open segment
     for a in anchors[::2]:
@@ -419,11 +446,12 @@ def emit_ilp(
             model.add_constraint([(xl, -2), (xr, -2)], "<=", d - h)
 
     # an ordered cross pair may claim its through route only if that route
-    # is no longer than any of the three detours around a segment end;
-    # within one segment, the outside route between the two placements may
-    # be claimed only if it is no longer than the inside stretch.  Every
-    # target (see AppliedGuess) must lie on a claimed route: one covering
-    # row per target, in bit order.
+    # is no longer than any of the three detours around a segment end: each
+    # helper flag lets its gap, the through route minus one detour, be
+    # positive only while the flag is 0.  Within one segment, the outside route
+    # between the two placements may be claimed only if it is no longer
+    # than the inside stretch.  Every target (see AppliedGuess) must lie on
+    # a claimed route: one covering row per target, in bit order.
     targets = applied.targets
     cover = {1 << t: [] for t in range(targets.bit_length()) if targets >> t & 1}
     for (a, b), gate in zip(pairs, gates):
@@ -446,17 +474,15 @@ def emit_ilp(
             if _cross_shut(prep, a, b, offsets[a], offsets[b]):
                 model.add_constraint([(gate, 1)], "<=", 0)
         else:
-            wa, ha = end[a ^ 1], hs[ia]
-            wb, hb = end[b ^ 1], hs[ib]
-            through = [offset(a), offset(b), ([], dist[va][vb])]
-            detours = (
-                [offset(a), neg(offset(b)), ([], dist[va][wb] + hb)],
-                [neg(offset(a)), offset(b), ([], dist[wa][vb] + ha)],
-                [neg(offset(a)), neg(offset(b)), ([], dist[wa][wb] + ha + hb)],
-            )
-            for flag, detour in zip(helper[(a, b)], detours):
-                route_gap(flag, through, detour)
+            g1, g2, g3 = gaps[a * len(end) + b]
             f1, f2, f3 = helper[(a, b)]
+            terms_a, const_a = twice[a]
+            terms_b, const_b = twice[b]
+            model.add_constraint(terms_b + [(f1, big)], "<=", big - g1 - const_b)
+            model.add_constraint(terms_a + [(f2, big)], "<=", big - g2 - const_a)
+            model.add_constraint(
+                terms_a + terms_b + [(f3, big)], "<=", big - g3 - const_a - const_b
+            )
             model.add_constraint([(f1, 1), (f2, 1), (f3, 1), (gate, -3)], ">=", 0)
     for terms in cover.values():
         model.add_constraint(terms, ">=", 1)
@@ -494,13 +520,20 @@ def reconstruct(
         path = prep.fed.paths[i]
         lo = assignment[placed[2 * i]]
         hi = prep.h[i] - assignment[placed[2 * i + 1]]
-        if c == SINGLE:
-            assert lo == hi
-            solution.add(path.vertices[lo])
-        else:
-            assert lo < hi
-            solution.update((path.vertices[lo], path.vertices[hi]))
-    assert len(solution) == candidate_size(prep, applied.ctx)
+        if c == SINGLE and lo != hi:
+            raise VerificationError(
+                f"segment {i} holds one vertex but its placements are {lo} and {hi}"
+            )
+        if c == PAIR and lo >= hi:
+            raise VerificationError(
+                f"segment {i} holds two vertices but its placements are {lo} and {hi}"
+            )
+        solution.update((path.vertices[lo], path.vertices[hi]))
+    size = candidate_size(prep, applied.ctx)
+    if len(solution) != size:
+        raise VerificationError(
+            f"reconstructed solution has {len(solution)} vertices, the guess {size}"
+        )
     return tuple(sorted(solution))
 
 

@@ -23,6 +23,7 @@ from geodetic.fpt import (
     emit_ilp,
     prepare,
     reconstruct,
+    refute_guess,
     solve_fpt,
 )
 from geodetic.generators import random_fen_graph
@@ -112,6 +113,49 @@ def corrupted_solve_error(name: str, how: str) -> str | None:
     return None
 
 
+def perturbed_placement_errors() -> dict[str, str]:
+    """Message of the VerificationError that ``reconstruct`` raises, by
+    segment class, once one placement of a feasible assignment is moved:
+    off its partner on a single segment, onto it on a pair segment.  The
+    assignments are the first feasible ones of seeded kernels."""
+    errors: dict[str, str] = {}
+    for prep in seeded_kernels(40, 30, 3):
+        for _size, _seq, ctx in _effective_items(prep):
+            applied = apply_guess(prep, ctx)
+            if refute_guess(prep, applied) is not None:
+                continue
+            model, placed = emit_ilp(prep, applied)
+            res = solve_ilp(model)
+            if res.status == FEASIBLE:
+                break
+        for i, c in enumerate(applied.classes):
+            if c not in (fpt.SINGLE, fpt.PAIR) or c in errors:
+                continue
+            moved = dict(res.assignment)
+            xl, xr = placed[2 * i], placed[2 * i + 1]
+            moved[xl] = moved[xl] + 1 if c == fpt.SINGLE else prep.h[i] - moved[xr]
+            try:
+                reconstruct(prep, applied, moved, placed)
+            except VerificationError as exc:
+                errors[c] = str(exc)
+        if len(errors) == 2:
+            break
+    return errors
+
+
+def test_reconstruct_rejects_a_moved_placement():
+    errors = perturbed_placement_errors()
+    assert set(errors) == {fpt.SINGLE, fpt.PAIR}
+    assert re.fullmatch(
+        r"segment \d+ holds one vertex but its placements are (\d+) and (?!\1)\d+",
+        errors[fpt.SINGLE],
+    )
+    assert re.fullmatch(
+        r"segment \d+ holds two vertices but its placements are (\d+) and \1",
+        errors[fpt.PAIR],
+    )
+
+
 @pytest.mark.parametrize("name,how,message", CERTIFICATE_CASES)
 def test_corrupted_witness_raises_verification_error(name, how, message):
     assert solve_fpt(PENDANT_K4).witness == (1, 2, 3, 4)
@@ -129,6 +173,7 @@ def test_certificates_survive_python_optimize():
         "for name, how, message in test_fpt.CERTIFICATE_CASES:\n"
         "    error = test_fpt.corrupted_solve_error(name, how)\n"
         "    print(name, how, bool(error and re.fullmatch(message, error)))\n"
+        "print(sorted(test_fpt.perturbed_placement_errors().items()))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src_dir), str(tests_dir)]))
     proc = subprocess.run(
@@ -138,7 +183,8 @@ def test_certificates_survive_python_optimize():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "1 False"
-    assert lines[1:] == [f"{name} {how} True" for name, how, _ in CERTIFICATE_CASES]
+    assert lines[1:-1] == [f"{name} {how} True" for name, how, _ in CERTIFICATE_CASES]
+    assert lines[-1] == str(sorted(perturbed_placement_errors().items()))
 
 
 def test_theta_graph_optimum():

@@ -7,10 +7,14 @@ full (with the segment-by-segment ``reference_candidate_size``), and
 pair for each covered target.  ``reference_graft``, ``reference_record``
 and ``reference_reconstruct`` are the guess application that copied the
 fixpoint graph, hung a leaf on every forced vertex and read the offsets,
-targets and solution off that grafted copy.  They are kept here as the
-references for :func:`geodetic.fpt._effective_items`,
-:func:`geodetic.fpt.candidate_size`, :func:`geodetic.fpt.emit_ilp`,
-:func:`geodetic.fpt.apply_guess` and :func:`geodetic.fpt.reconstruct`.
+targets and solution off that grafted copy.  ``reference_cross_shut``
+compares the through route with the three detours one by one, and
+``pairwise_refute_guess`` looks each ordered anchor pair up on its own.
+They are kept here as the references for
+:func:`geodetic.fpt._effective_items`, :func:`geodetic.fpt.candidate_size`,
+:func:`geodetic.fpt.emit_ilp`, :func:`geodetic.fpt.apply_guess`,
+:func:`geodetic.fpt.reconstruct`, :func:`geodetic.fpt._cross_shut` and
+:func:`geodetic.fpt.refute_guess`.
 """
 
 import collections
@@ -22,7 +26,10 @@ from geodetic.fpt import (
     LEAFED,
     SINGLE,
     GuessContext,
+    _cross_shut,
     _effective_items,
+    _route_mask,
+    _self_shut,
     apply_guess,
     emit_ilp,
     prepare,
@@ -342,6 +349,52 @@ def pairwise_emit_ilp(prep, applied):
     return model, placed
 
 
+def reference_cross_shut(prep, a, b, xa, xb):
+    """Reference: whether the through route between placements at offsets
+    ``xa`` from anchor a and ``xb`` from anchor b is longer than one of the
+    three detours around a segment end."""
+    dist, end, hs = prep.dist, prep.end, prep.h
+    va, wa, ha = end[a], end[a ^ 1], hs[a >> 1]
+    vb, wb, hb = end[b], end[b ^ 1], hs[b >> 1]
+    length = xa + dist[va][vb] + xb
+    alts = (
+        xa + dist[va][wb] + hb - xb,
+        ha - xa + dist[wa][vb] + xb,
+        ha - xa + dist[wa][wb] + hb - xb,
+    )
+    return length > min(alts)
+
+
+def pairwise_refute_guess(prep, applied, memo):
+    """Reference: the refutation that looked up each ordered anchor pair on
+    its own, memoising its route mask, or -1 when shut, in ``memo`` under
+    ``(a, xa, b, xb)``."""
+    offsets, anchors = applied.offsets, applied.anchors
+    pairs = [(a, b) for a in anchors for b in anchors if a >> 1 != b >> 1]
+    for a in anchors[::2]:
+        pairs += [(a, a + 1), (a + 1, a)]
+    reach = leaving = 0
+    for a, b in pairs:
+        key = (a, offsets[a], b, offsets[b])
+        mask = memo.get(key)
+        if mask is None:
+            if a >> 1 == b >> 1:
+                shut = _self_shut(prep, a >> 1, offsets[a], offsets[b])
+            else:
+                shut = reference_cross_shut(prep, a, b, offsets[a], offsets[b])
+            mask = memo[key] = -1 if shut else _route_mask(
+                prep, prep.end[a], prep.end[b]
+            )
+        if mask >= 0:
+            reach |= mask
+            leaving |= 1 << a
+    if applied.targets & ~reach:
+        return "cover"
+    if any(x > 1 and not leaving >> a & 1 for a, x in enumerate(offsets)):
+        return "margin"
+    return None
+
+
 def seeded_kernels(seed, count, stretch):
     """Prepared kernels of seeded random graphs with fen 2-7 that reach guessing.
 
@@ -462,3 +515,48 @@ def test_refuted_guesses_are_infeasible_at_the_ilp_root():
             assert root_infeasible == (kind is not None), (kind, ctx)
     assert min(kinds["cover"], kinds["margin"]) >= 20, kinds
     assert kinds[None] >= 200, kinds
+
+
+def test_gap_triple_shut_test_matches_three_detours():
+    # the kernels of test_shut_tests_grow_with_the_offsets, every ordered
+    # pair of anchors on different segments, every offset pair up to h
+    compared = shut = 0
+    for prep in seeded_kernels(36, 40, 3):
+        anchors = range(len(prep.end))
+        for a, b in itertools.permutations(anchors, 2):
+            if a >> 1 == b >> 1:
+                continue
+            ha, hb = prep.h[a >> 1], prep.h[b >> 1]
+            for xa, xb in itertools.product(range(ha + 1), range(hb + 1)):
+                verdict = _cross_shut(prep, a, b, xa, xb)
+                assert verdict == reference_cross_shut(prep, a, b, xa, xb), (
+                    a, b, xa, xb
+                )
+                compared += 1
+                shut += verdict
+    assert 0.1 * compared < shut < 0.9 * compared, (shut, compared)
+
+
+def test_refutation_matches_pairwise_reference():
+    # every guess the solver processes, up to its first feasible model,
+    # on kernels with fen 2-7 and on draws with fen 10-14, where guesses
+    # are most numerous
+    kernels = seeded_kernels(38, 40, 0) + seeded_kernels(39, 20, 2)
+    draws = random.Random(44)
+    while len(kernels) < 72:
+        fen = draws.randint(10, 14)
+        red = reduce_to_fixpoint(random_fen_graph(draws.randint(18, 22), fen, draws))
+        if red.decomposition is not None:
+            kernels.append(prepare(red.graph, red.decomposition))
+    kinds = collections.Counter()
+    for prep in kernels:
+        memo = {}
+        for _size, _seq, ctx in _effective_items(prep):
+            applied = apply_guess(prep, ctx)
+            kind = refute_guess(prep, applied)
+            assert kind == pairwise_refute_guess(prep, applied, memo), ctx
+            kinds[kind] += 1
+            if kind is None and solve_ilp(emit_ilp(prep, applied)[0]).status == FEASIBLE:
+                break
+    assert min(kinds.values()) >= 30, kinds
+    assert kinds["cover"] > 5_000, kinds

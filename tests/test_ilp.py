@@ -148,6 +148,31 @@ def reference_solve(model, node_budget=None):
             state = "descend" if propagate() else "branch"
 
 
+def test_kept_activities_match_full_sweep_after_backtracking():
+    # rows of two to seven terms with coefficients of magnitude 2 or 3 over
+    # domains up to 0..7, often paired into a narrow band, so propagation
+    # leaves much to the search and both halves of a split are undone:
+    # stale row activities after backtracking show as a different search
+    rng = random.Random(17)
+    searched = {FEASIBLE: 0, INFEASIBLE: 0}
+    for _ in range(200):
+        m = fresh_model()
+        n = rng.randrange(4, 8)
+        for _ in range(n):
+            m.add_variable(0, rng.randrange(2, 8))
+        for _ in range(rng.randrange(2, 6)):
+            picked = rng.sample(range(n), rng.randrange(2, n + 1))
+            coeffs = [(v, rng.choice((-3, -2, 2, 3))) for v in picked]
+            rhs = rng.randrange(-5, 12)
+            m.add_constraint(coeffs, "<=", rhs)
+            if rng.random() < 0.5:
+                m.add_constraint(coeffs, ">=", rhs - rng.randrange(0, 2))
+        got = solve(m)
+        assert got == reference_solve(m)
+        searched[got.status] += got.nodes > 2
+    assert searched[FEASIBLE] >= 40 and searched[INFEASIBLE] >= 5, searched
+
+
 Triple = tuple[list[tuple[int, int]], str, int]
 
 
