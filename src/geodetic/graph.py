@@ -4,11 +4,14 @@ Vertices are the integers 0..n-1.  Distances are hop counts.  One
 breadth-first search, ``_bfs_order``, serves every distance query on a
 :class:`Graph`; it reports an unreachable vertex at distance -1, so a
 caller tests reachability with ``d < 0`` before doing arithmetic with it.
+The diameter's per-hub searches run instead on the hub graph, the 2-core
+with each chain of degree-2 vertices contracted to one weighted edge.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop, heappush
 from typing import Iterable, Iterator, Sequence
 
 
@@ -118,9 +121,8 @@ def connected_components(g: Graph) -> list[list[int]]:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    return len(connected_components(g)) == 1
+    """True iff one search from vertex 0 reaches every vertex (or n = 0)."""
+    return g.n == 0 or len(_bfs_order(g.adj, 0)[1]) == g.n
 
 
 def feedback_edge_number(g: Graph) -> int:
@@ -198,29 +200,34 @@ def is_geodetic(g: Graph, vertices: Iterable[int]) -> bool:
 def diameter(g: Graph) -> int:
     """Largest pairwise distance; error on empty or disconnected graphs.
 
-    Exact, from breadth-first searches on the 2-core only.  Peeling the
-    degree-1 vertices leaves the 2-core and the height of the pendant tree
-    at each core vertex; the two deepest branches met at each peeled step
-    give the longest path inside a pendant tree, which is the answer on a
-    tree.  Hubs are the core vertices of core degree other than 2 or with a
-    pendant tree; a hub-free core is a cycle.  The rest of the core is
-    chains of degree-2 vertices between hubs, and a point i steps into a
-    chain (a, b, h) lies min(i + d(a, x), h - i + d(b, x)) from any x outside
-    it.  One BFS per hub on the core gives every pair with a hub.  Two
-    points of one chain need no case of their own: on the cycle of length
-    L = h + d(a, b) that the chain closes, a reaches min(L // 2, h - 1)
-    inside the chain, and no two interior points lie farther apart.  Two
-    points in two chains follow from the four distances between the chain
-    ends, in closed form per point of the shorter chain; a chain pair is
-    skipped when an O(1) bound shows it cannot beat the best so far.  Cost
-    O(hubs·m + chain pairs·h) time and O(hubs² + n) memory.
+    Exact, from shortest-path searches on the hub graph of the 2-core.
+    Peeling the degree-1 vertices leaves the 2-core and the height of the
+    pendant tree at each core vertex; the two deepest branches met at each
+    peeled step give the longest path inside a pendant tree, which is the
+    answer on a tree.  Hubs are the core vertices of core degree other than
+    2 or with a pendant tree; a hub-free core is a cycle.  The rest of the
+    core is chains of degree-2 vertices between hubs, and a point i steps
+    into a chain (a, b, h) lies min(i + d(a, x), h - i + d(b, x)) from any x
+    outside it.  Contracting each chain to one edge of weight h leaves the
+    hub graph, and one Dijkstra search per hub on it, on a bucket queue,
+    gives every hub distance.  The farthest point of a chain (a, b, h) from
+    hub x lies (d(x, a) + d(x, b) + h) // 2 away, so the hub distances give
+    every pair with a hub.  Two points of one chain need no case of their
+    own: on the cycle of length L = h + d(a, b) that the chain closes, a
+    reaches min(L // 2, h - 1) inside the chain, and no two interior points
+    lie farther apart.  Two points in two chains follow from the four
+    distances between the chain ends, in closed form per point of the
+    shorter chain; a chain pair is skipped when an O(1) bound shows it
+    cannot beat the best so far.  Cost
+    O(n + hubs·(hubs + chains)·log hubs + chain pairs·h) time and
+    O(hubs² + n) memory.
     """
     n = g.n
     if n == 0:
         raise GraphError("diameter of the empty graph is undefined")
-    adj = g.adj
-    if len(_bfs_order(adj, 0)[1]) < n:
+    if not is_connected(g):
         raise DisconnectedError("diameter requires a connected graph")
+    adj = g.adj
     # peel the pendant trees; a peeled vertex keeps degree 0
     deg = [len(nb) for nb in adj]
     height = [0] * n
@@ -240,42 +247,50 @@ def diameter(g: Graph) -> int:
             stack.append(r)
     if g.m == n - 1:
         return best
-    core_adj = [
-        tuple(u for u in nb if deg[u]) if deg[v] else () for v, nb in enumerate(adj)
-    ]
     hubs = [v for v in range(n) if deg[v] and (deg[v] != 2 or height[v])]
     if not hubs:
         return sum(1 for d in deg if d) // 2
-    is_hub = bytearray(n)
-    for x in hubs:
-        is_hub[x] = 1
-    # maximal chains of non-hub core vertices, as (a, b, h) between hubs
+    hub_of = [-1] * n
+    for i, x in enumerate(hubs):
+        hub_of[x] = i
+    # the hub graph: a hub-hub core edge weighs 1, and each maximal chain of
+    # non-hub core vertices, kept as (a, b, h) on hub numbers, weighs h; a
+    # non-hub core vertex has no pendant tree, so both its edges are core
     chains: list[tuple[int, int, int]] = []
+    links: list[list[tuple[int, int]]] = [[] for _ in hubs]
     seen = bytearray(n)
-    for a in hubs:
-        for s in core_adj[a]:
-            if is_hub[s] or seen[s]:
+    for i, a in enumerate(hubs):
+        for s in adj[a]:
+            if hub_of[s] >= 0:
+                links[i].append((hub_of[s], 1))
+                continue
+            if seen[s] or not deg[s]:
                 continue
             prev, cur, h = a, s, 1
-            while not is_hub[cur]:
+            while hub_of[cur] < 0:
                 seen[cur] = 1
-                x, y = core_adj[cur]
+                x, y = adj[cur]
                 prev, cur = cur, y if x == prev else x
                 h += 1
-            chains.append((a, cur, h))
+            j = hub_of[cur]
+            chains.append((i, j, h))
+            links[i].append((j, h))
+            links[j].append((i, h))
     ends = sorted({v for a, b, _ in chains for v in (a, b)})
     slot = {v: i for i, v in enumerate(ends)}
-    tall = [y for y in hubs if height[y]]
+    tall = [(i, height[y]) for i, y in enumerate(hubs) if height[y]]
     rows: dict[int, list[int]] = {}
     ecc: dict[int, int] = {}
-    for x in hubs:
-        dist, order = _bfs_order(core_adj, x)
-        far = dist[order[-1]]
-        top = max([far] + [dist[y] + height[y] for y in tall if y != x])
+    for i, x in enumerate(hubs):
+        dist = _hub_distances(links, i)
+        far = max(dist)
+        if chains:
+            far = max(far, max(dist[a] + dist[b] + h for a, b, h in chains) // 2)
+        top = max([far] + [dist[j] + hj for j, hj in tall if j != i])
         best = max(best, height[x] + top)
-        if x in slot:
-            ecc[x] = far
-            rows[x] = [dist[e] for e in ends]
+        if i in slot:
+            ecc[i] = far
+            rows[i] = [dist[e] for e in ends]
     # two points in two chains, widest bound first
     bounded = []
     for a, b, h in chains:
@@ -298,6 +313,32 @@ def diameter(g: Graph) -> int:
             else:
                 best = max(best, _chain_pair_max(g2, ac, bc, ae, be, h))
     return best
+
+
+def _hub_distances(
+    links: Sequence[Sequence[tuple[int, int]]], source: int
+) -> list[int]:
+    """Distances from ``source`` in a connected graph whose ``links[u]``
+    holds (v, weight) pairs with weights >= 1: Dijkstra on a bucket queue,
+    one bucket per tentative distance, whose keys sit on a heap."""
+    dist = [-1] * len(links)
+    buckets = {0: [source]}
+    keys = [0]
+    while keys:
+        d = heappop(keys)
+        for u in buckets.pop(d):
+            if dist[u] >= 0:
+                continue
+            dist[u] = d
+            for v, w in links[u]:
+                if dist[v] < 0:
+                    t = d + w
+                    if t in buckets:
+                        buckets[t].append(v)
+                    else:
+                        buckets[t] = [v]
+                        heappush(keys, t)
+    return dist
 
 
 def _chain_pair_max(h: int, ac: int, ae: int, bc: int, be: int, g: int) -> int:

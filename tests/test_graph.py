@@ -19,6 +19,7 @@ from geodetic.graph import (
     GraphError,
     GraphFormatError,
     _bfs_order,
+    _chain_pair_max,
     connected_components,
     diameter,
     feedback_edge_number,
@@ -222,9 +223,112 @@ def test_diameter_long_path():
     assert diameter(path_graph(n)) == n - 1
 
 
-def diameter_all_pairs(g: Graph) -> int:
-    """Reference: one BFS from every vertex."""
-    return max(max(reference_bfs(g, s)) for s in range(g.n))
+def diameter_all_pairs(g: Graph) -> int | float:
+    """Reference: the largest distance over all pairs, ``inf`` if some pair
+    is disconnected, from one level-synchronous BFS per vertex that shares
+    no code with ``geodetic.graph``."""
+    adj = g.adj
+    best = 0
+    for s in range(g.n):
+        dist = [-1] * g.n
+        dist[s] = 0
+        frontier = [s]
+        level = 0
+        while frontier:
+            level += 1
+            reached = []
+            for u in frontier:
+                for v in adj[u]:
+                    if dist[v] < 0:
+                        dist[v] = level
+                        reached.append(v)
+            frontier = reached
+        if -1 in dist:
+            return inf
+        best = max(best, level - 1)
+    return best
+
+
+def diameter_hub_bfs(g: Graph) -> int:
+    """Reference: the diameter from one BFS per hub over the whole 2-core,
+    with the peeling and the chain-pair loop of ``geodetic.graph.diameter``."""
+    n = g.n
+    adj = g.adj
+    assert n and len(_bfs_order(adj, 0)[1]) == n
+    deg = [len(nb) for nb in adj]
+    height = [0] * n
+    best = 0
+    stack = [v for v in range(n) if deg[v] == 1]
+    while stack:
+        v = stack.pop()
+        if deg[v] != 1:
+            continue
+        deg[v] = 0
+        r = next(u for u in adj[v] if deg[u])
+        hv = height[v] + 1
+        best = max(best, height[r] + hv)
+        height[r] = max(height[r], hv)
+        deg[r] -= 1
+        if deg[r] == 1:
+            stack.append(r)
+    if g.m == n - 1:
+        return best
+    core_adj = [
+        tuple(u for u in nb if deg[u]) if deg[v] else () for v, nb in enumerate(adj)
+    ]
+    hubs = [v for v in range(n) if deg[v] and (deg[v] != 2 or height[v])]
+    if not hubs:
+        return sum(1 for d in deg if d) // 2
+    is_hub = bytearray(n)
+    for x in hubs:
+        is_hub[x] = 1
+    chains: list[tuple[int, int, int]] = []
+    seen = bytearray(n)
+    for a in hubs:
+        for s in core_adj[a]:
+            if is_hub[s] or seen[s]:
+                continue
+            prev, cur, h = a, s, 1
+            while not is_hub[cur]:
+                seen[cur] = 1
+                x, y = core_adj[cur]
+                prev, cur = cur, y if x == prev else x
+                h += 1
+            chains.append((a, cur, h))
+    ends = sorted({v for a, b, _ in chains for v in (a, b)})
+    slot = {v: i for i, v in enumerate(ends)}
+    tall = [y for y in hubs if height[y]]
+    rows: dict[int, list[int]] = {}
+    ecc: dict[int, int] = {}
+    for x in hubs:
+        dist, order = _bfs_order(core_adj, x)
+        far = dist[order[-1]]
+        top = max([far] + [dist[y] + height[y] for y in tall if y != x])
+        best = max(best, height[x] + top)
+        if x in slot:
+            ecc[x] = far
+            rows[x] = [dist[e] for e in ends]
+    bounded = []
+    for a, b, h in chains:
+        ea, eb = ecc[a], ecc[b]
+        bound = min((h + ea + eb) // 2, min(ea, eb) + h - 1)
+        bounded.append((bound, h, rows[a], rows[b], slot[a], slot[b]))
+    bounded.sort(key=lambda c: -c[0])
+    for i, (bound, h, ra, rb, _, _) in enumerate(bounded):
+        if bound <= best:
+            break
+        for j in range(i + 1, len(bounded)):
+            bound2, g2, _, _, c, e = bounded[j]
+            if bound2 <= best:
+                break
+            ac, ae, bc, be = ra[c], ra[e], rb[c], rb[e]
+            if (h + g2 + min(ac + be, ae + bc)) // 2 <= best:
+                continue
+            if h <= g2:
+                best = max(best, _chain_pair_max(h, ac, ae, bc, be, g2))
+            else:
+                best = max(best, _chain_pair_max(g2, ac, bc, ae, be, h))
+    return best
 
 
 def theta_with_pendant_paths(rng: random.Random) -> Graph:
@@ -276,6 +380,66 @@ def test_diameter_matches_all_pairs_on_small_gadgets():
         assert diameter(g) == diameter_all_pairs(g)
 
 
+def subdivided_multigraph(rng: random.Random) -> Graph:
+    """A connected multigraph on 2-7 vertices, with loops, parallel edges
+    and plain edges, each edge but a plain one subdivided into a chain, and
+    pendant paths hung at those vertices and at chain interiors."""
+    base = rng.randint(2, 7)
+    pairs = [(rng.randrange(v), v) for v in range(1, base)]
+    for _ in range(rng.randint(1, 2 * base)):
+        a = rng.randrange(base)
+        kind = rng.random()
+        if kind < 0.2:
+            pairs.append((a, a))  # a loop chain
+        elif kind < 0.4 and pairs:
+            pairs.append(rng.choice(pairs))  # a parallel chain
+        else:
+            pairs.append((a, rng.randrange(base)))
+    edges: set[tuple[int, int]] = set()
+    n = base
+    for a, b in pairs:
+        shortest = 3 if a == b else 1
+        h = rng.randint(shortest, 6)
+        if h == 1 and (min(a, b), max(a, b)) in edges:
+            h = 2
+        prev = a
+        for _ in range(h - 1):
+            edges.add((prev, n))
+            prev, n = n, n + 1
+        edges.add((min(prev, b), max(prev, b)))
+    for _ in range(rng.randint(0, 4)):
+        prev = rng.randrange(base) if rng.random() < 0.5 else rng.randrange(n)
+        for _ in range(rng.randint(1, 4)):
+            edges.add((prev, n))
+            prev, n = n, n + 1
+    return Graph(n, edges)
+
+
+def test_diameter_matches_hub_bfs_on_chain_heavy_graphs():
+    rng = random.Random(20261020)
+    shapes = Counter()
+    for _ in range(1500):
+        g = subdivided_multigraph(rng)
+        want = diameter_hub_bfs(g)
+        assert diameter(g) == want == diameter_all_pairs(g), format_graph(g)
+        shapes[g.m - g.n + 1 > 1] += 1
+    assert shapes[True] > 1000
+
+
+def test_diameter_matches_hub_bfs_on_thetas():
+    rng = random.Random(19)
+    for _ in range(1000):
+        g = theta_with_pendant_paths(rng)
+        assert diameter(g) == diameter_hub_bfs(g), format_graph(g)
+
+
+@pytest.mark.parametrize("alphabet", [1, 2, 3])
+def test_diameter_matches_hub_bfs_on_benchmark_gadgets(alphabet):
+    inst, _ = random_yes_instance(2, 2, alphabet, random.Random(alphabet))
+    g = build_gadget(inst).graph
+    assert diameter(g) == diameter_hub_bfs(g)
+
+
 def core_hub_count(g: Graph) -> int:
     """Vertices of the 2-core with core degree other than 2 or a pendant tree."""
     deg = [len(nb) for nb in g.adj]
@@ -306,21 +470,27 @@ def core_hub_count(g: Graph) -> int:
     ],
     ids=["near-tree-fen4", "near-tree-fen6", "star"],
 )
-def test_diameter_runs_one_bfs_per_core_hub(monkeypatch, make):
-    """Counts, not clock time: one BFS to check connectivity and one per
-    hub of the 2-core, whatever the size of the pendant trees."""
+def test_diameter_runs_one_graph_bfs_and_one_hub_search_per_hub(monkeypatch, make):
+    """Counts, not clock time: one BFS over the graph, to check
+    connectivity, and one search per hub of the 2-core on the hub graph,
+    whatever the size of the pendant trees."""
     g = make()
-    sweeps = 0
-    bfs_order = graph_module._bfs_order
+    calls = Counter()
 
-    def counting_bfs_order(adj, source):
-        nonlocal sweeps
-        sweeps += 1
-        return bfs_order(adj, source)
+    def counting(name):
+        inner = getattr(graph_module, name)
 
-    monkeypatch.setattr(graph_module, "_bfs_order", counting_bfs_order)
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(graph_module, name, wrapper)
+
+    counting("_bfs_order")
+    counting("_hub_distances")
     assert diameter(g) > 0
-    assert sweeps <= core_hub_count(g) + 1
+    assert calls["_bfs_order"] == 1
+    assert calls["_hub_distances"] == core_hub_count(g)
 
 
 def test_stats_on_a_gadget_imports_no_numpy_or_scipy(tmp_path):
