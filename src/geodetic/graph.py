@@ -5,14 +5,15 @@ breadth-first search, ``_bfs_order``, serves every distance query on a
 :class:`Graph`; it reports an unreachable vertex at distance -1, so a
 caller tests reachability with ``d < 0`` before doing arithmetic with it.
 The diameter's per-hub searches run instead on the hub graph, the 2-core
-with each chain of degree-2 vertices contracted to one weighted edge.
+with each chain of degree-2 vertices contracted to one weighted edge.  Its
+pendant-tree peel and chain walk also give :mod:`geodetic.reduction` its core.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class GraphError(ValueError):
@@ -197,19 +198,75 @@ def is_geodetic(g: Graph, vertices: Iterable[int]) -> bool:
     return len(interval_closure(g, vertices)) == g.n
 
 
+def peel_pendant_trees(
+    adj: Mapping[int, Iterable[int]] | Sequence[Iterable[int]],
+    vertices: Iterable[int],
+) -> tuple[dict[int, int], dict[int, int], int]:
+    """Peel degree-1 vertices off ``adj`` (``adj[v]`` iterates v's neighbours,
+    as in :attr:`Graph.adj` or a dict of sets) down to the 2-core.  Returns
+    each vertex's core degree (0 once peeled), the height of its pendant
+    tree (0 without one) and the longest path inside one pendant tree, met
+    as the two deepest branches at some peeled step.  Cost O(n + m)."""
+    deg = {v: len(adj[v]) for v in vertices}
+    height = dict.fromkeys(deg, 0)
+    best = 0
+    stack = [v for v, d in deg.items() if d == 1]
+    while stack:
+        v = stack.pop()
+        if deg[v] != 1:
+            continue  # the last vertex of a tree
+        deg[v] = 0
+        r = next(u for u in adj[v] if deg[u])
+        hv = height[v] + 1
+        best = max(best, height[r] + hv)
+        height[r] = max(height[r], hv)
+        deg[r] -= 1
+        if deg[r] == 1:
+            stack.append(r)
+    return deg, height, best
+
+
+def core_chains(
+    adj: Mapping[int, Iterable[int]] | Sequence[Iterable[int]],
+    deg: Mapping[int, int],
+    hubs: Sequence[int],
+) -> list[tuple[int, ...]]:
+    """Each maximal path of the 2-core between the ascending ``hubs``, once,
+    as a vertex tuple; ``deg`` holds the core degrees, and each core vertex
+    but a hub must have core degree 2.  Each hub's core neighbours are taken
+    in ascending order, so a hub-hub edge comes from its smaller end; a path
+    back to its first hub is a loop.  Cost O(core size + hub degrees)."""
+    is_hub = set(hubs)
+    seen: set[int] = set()
+    paths: list[tuple[int, ...]] = []
+    for a in hubs:
+        for s in sorted(adj[a]):
+            if not deg[s] or s in seen or (s in is_hub and s < a):
+                continue
+            path = [a, s]
+            prev, cur = a, s
+            while cur not in is_hub:
+                seen.add(cur)
+                nb = adj[cur]
+                # a vertex with no pendant tree has just its two core edges
+                x, y = nb if len(nb) == 2 else [u for u in nb if deg[u]]
+                prev, cur = cur, y if x == prev else x
+                path.append(cur)
+            paths.append(tuple(path))
+    return paths
+
+
 def diameter(g: Graph) -> int:
     """Largest pairwise distance; error on empty or disconnected graphs.
 
-    Exact, from shortest-path searches on the hub graph of the 2-core.
-    Peeling the degree-1 vertices leaves the 2-core and the height of the
-    pendant tree at each core vertex; the two deepest branches met at each
-    peeled step give the longest path inside a pendant tree, which is the
-    answer on a tree.  Hubs are the core vertices of core degree other than
-    2 or with a pendant tree; a hub-free core is a cycle.  The rest of the
-    core is chains of degree-2 vertices between hubs, and a point i steps
-    into a chain (a, b, h) lies min(i + d(a, x), h - i + d(b, x)) from any x
-    outside it.  Contracting each chain to one edge of weight h leaves the
-    hub graph, and one Dijkstra search per hub on it, on a bucket queue,
+    Exact, from shortest-path searches on the hub graph of the 2-core; on a
+    tree, the longest pendant-tree path of :func:`peel_pendant_trees`.  Hubs
+    are the core vertices of core degree other than 2 or with a pendant
+    tree; a hub-free core is a cycle.  The rest of the core is chains of
+    degree-2 vertices between hubs (:func:`core_chains`), and a point i
+    steps into a chain (a, b, h) lies min(i + d(a, x), h - i + d(b, x)) from
+    any x outside it.  Contracting each chain to one edge of weight h leaves
+    the hub graph, and one Dijkstra search per hub on it, on a bucket queue,
     gives every hub distance.  The farthest point of a chain (a, b, h) from
     hub x lies (d(x, a) + d(x, b) + h) // 2 away, so the hub distances give
     every pair with a hub.  Two points of one chain need no case of their
@@ -228,54 +285,23 @@ def diameter(g: Graph) -> int:
     if not is_connected(g):
         raise DisconnectedError("diameter requires a connected graph")
     adj = g.adj
-    # peel the pendant trees; a peeled vertex keeps degree 0
-    deg = [len(nb) for nb in adj]
-    height = [0] * n
-    best = 0
-    stack = [v for v in range(n) if deg[v] == 1]
-    while stack:
-        v = stack.pop()
-        if deg[v] != 1:
-            continue  # the last vertex of a tree
-        deg[v] = 0
-        r = next(u for u in adj[v] if deg[u])
-        hv = height[v] + 1
-        best = max(best, height[r] + hv)
-        height[r] = max(height[r], hv)
-        deg[r] -= 1
-        if deg[r] == 1:
-            stack.append(r)
+    deg, height, best = peel_pendant_trees(adj, range(n))
     if g.m == n - 1:
         return best
     hubs = [v for v in range(n) if deg[v] and (deg[v] != 2 or height[v])]
     if not hubs:
-        return sum(1 for d in deg if d) // 2
-    hub_of = [-1] * n
-    for i, x in enumerate(hubs):
-        hub_of[x] = i
-    # the hub graph: a hub-hub core edge weighs 1, and each maximal chain of
-    # non-hub core vertices, kept as (a, b, h) on hub numbers, weighs h; a
-    # non-hub core vertex has no pendant tree, so both its edges are core
+        return sum(1 for d in deg.values() if d) // 2
+    hub_of = {x: i for i, x in enumerate(hubs)}
+    # the hub graph: a hub-hub core edge weighs 1, and each chain of
+    # non-hub core vertices, kept as (a, b, h) on hub numbers, weighs h
     chains: list[tuple[int, int, int]] = []
     links: list[list[tuple[int, int]]] = [[] for _ in hubs]
-    seen = bytearray(n)
-    for i, a in enumerate(hubs):
-        for s in adj[a]:
-            if hub_of[s] >= 0:
-                links[i].append((hub_of[s], 1))
-                continue
-            if seen[s] or not deg[s]:
-                continue
-            prev, cur, h = a, s, 1
-            while hub_of[cur] < 0:
-                seen[cur] = 1
-                x, y = adj[cur]
-                prev, cur = cur, y if x == prev else x
-                h += 1
-            j = hub_of[cur]
+    for path in core_chains(adj, deg, hubs):
+        i, j, h = hub_of[path[0]], hub_of[path[-1]], len(path) - 1
+        if h > 1:
             chains.append((i, j, h))
-            links[i].append((j, h))
-            links[j].append((i, h))
+        links[i].append((j, h))
+        links[j].append((i, h))
     ends = sorted({v for a, b, _ in chains for v in (a, b)})
     slot = {v: i for i, v in enumerate(ends)}
     tall = [(i, height[y]) for i, y in enumerate(hubs) if height[y]]

@@ -9,7 +9,9 @@ Terminology used throughout:
 
 * leaf: a degree-1 vertex; its unique neighbor is the support.
 * leafed vertex: a vertex with at least one pendant leaf.
-* core: the 2-core of the working graph; pendant trees are outside it.
+* core: the 2-core of the working graph; pendant trees are outside it.  It
+  comes from :func:`geodetic.graph.peel_pendant_trees`, shared with the
+  diameter, and its segments from :func:`geodetic.graph.core_chains`.
 * branch vertex: a core vertex with three or more core neighbors.
 * segment: a maximal core path between branch vertices; recorded with its
   full vertex sequence.  A segment whose two ends are the same branch vertex
@@ -40,8 +42,10 @@ from geodetic.graph import (
     Graph,
     GraphError,
     VerificationError,
+    core_chains,
     is_connected,
     is_geodetic,
+    peel_pendant_trees,
 )
 
 
@@ -216,62 +220,25 @@ class FeedbackEdgeDecomposition:
         return self.distances_from(work, path.left)[path.right]
 
 
-def two_core(work: MutableGraph) -> set[int]:
-    """Labels surviving repeated removal of degree <= 1 vertices."""
-    deg = {v: work.degree(v) for v in work.labels()}
-    queue = deque(v for v, d in deg.items() if d <= 1)
-    dead: set[int] = set()
-    while queue:
-        v = queue.popleft()
-        if v in dead:
-            continue
-        dead.add(v)
-        for u in work.neighbors(v):
-            if u not in dead:
-                deg[u] -= 1
-                if deg[u] <= 1:
-                    queue.append(u)
-    return {v for v in deg if v not in dead}
-
-
 def build_feg(work: MutableGraph) -> FeedbackEdgeDecomposition:
     """Segment decomposition of the core around its branch vertices.
 
     Raises :class:`FenTooSmallError` when the core has no branch vertex,
     which happens exactly when there are fewer than two independent cycles.
     """
-    core = two_core(work)
-    core_deg = {v: sum(1 for u in work.neighbors(v) if u in core) for v in core}
-    branch = sorted(v for v in core if core_deg[v] >= 3)
+    adj = work._adj
+    deg, _, _ = peel_pendant_trees(adj, adj)
+    branch = sorted(v for v, d in deg.items() if d >= 3)
     if not branch:
         raise FenTooSmallError("no branch vertex in the core")
-    used: set[frozenset[int]] = set()
-    paths: list[PathRecord] = []
-    for b in branch:
-        for start in sorted(work.neighbors(b)):
-            if start not in core or frozenset((b, start)) in used:
-                continue
-            verts = [b, start]
-            used.add(frozenset((b, start)))
-            prev, cur = b, start
-            while core_deg[cur] == 2:
-                nxt = next(
-                    u for u in work.neighbors(cur) if u in core and u != prev
-                )
-                used.add(frozenset((cur, nxt)))
-                verts.append(nxt)
-                prev, cur = cur, nxt
-            leafed = tuple(
-                j for j, v in enumerate(verts) if work.is_leafed(v)
-            )
-            paths.append(PathRecord(len(paths), tuple(verts), leafed))
-    assert all(
-        frozenset((u, v)) in used
-        for u in core
-        for v in work.neighbors(u)
-        if v in core and u < v
+    paths = tuple(
+        PathRecord(i, verts, tuple(j for j, v in enumerate(verts) if work.is_leafed(v)))
+        for i, verts in enumerate(core_chains(adj, deg, branch))
     )
-    return FeedbackEdgeDecomposition(tuple(branch), tuple(paths))
+    steps = [frozenset(e) for p in paths for e in zip(p.vertices, p.vertices[1:])]
+    if not len(set(steps)) == len(steps) == sum(deg.values()) // 2:
+        raise VerificationError("the segments do not cover each core edge once")
+    return FeedbackEdgeDecomposition(tuple(branch), paths)
 
 
 class RuleWorklist:
@@ -550,32 +517,40 @@ def lift_witness(trace: list[TraceEntry], witness: Iterable[int]) -> tuple[int, 
     """Map an optimal witness of the reduced graph back through the trace.
 
     Inverts rule applications newest first.  The size grows by exactly the
-    total optimum drop recorded in the trace.
+    total optimum drop recorded in the trace.  A witness that misses a forced
+    vertex, or holds a removed leaf or a pinned support, raises
+    :class:`~geodetic.graph.VerificationError`.
     """
     current = set(witness)
     for entry in reversed(trace):
         if entry.rule == "collapse":
             support = entry.info["support"]
             leaf = entry.info["leaf"]
-            assert support in current, "support became a leaf and is forced"
+            if support not in current:
+                raise VerificationError(f"collapse: forced support {support} missing")
             current.remove(support)
             current.add(leaf)
         elif entry.rule == "twin":
             removed = entry.info["removed"]
-            assert removed not in current
+            if removed in current:
+                raise VerificationError(f"twin: removed leaf {removed} present")
             current.add(removed)
         elif entry.rule in ("shortcut", "margin"):
             leaf = entry.info["leaf"]
             support = entry.info["support"]
-            assert leaf in current, "pinned leaf is forced"
-            assert support not in current, "optimal witness avoids the support"
+            if leaf not in current:
+                raise VerificationError(f"{entry.rule}: forced leaf {leaf} missing")
+            if support in current:
+                raise VerificationError(f"{entry.rule}: support {support} present")
             current.remove(leaf)
             current.add(support)
         elif entry.rule == "loop-prune":
             info = entry.info
-            if info["new_leaf"] is not None:
-                assert info["new_leaf"] in current
-                current.remove(info["new_leaf"])
+            new_leaf = info["new_leaf"]
+            if new_leaf is not None:
+                if new_leaf not in current:
+                    raise VerificationError(f"loop-prune: new leaf {new_leaf} missing")
+                current.remove(new_leaf)
             for leaf in info["inner_leaves"].values():
                 current.add(leaf)
             if info["t"] == 0:
@@ -601,19 +576,15 @@ def solve_tree(work: MutableGraph) -> tuple[int, tuple[int, ...]]:
 
 
 def _cycle_order(work: MutableGraph) -> list[int]:
-    core = sorted(v for v in work.labels() if work.degree(v) >= 2)
-    core_set = set(core)
-    start = core[0]
-    second = min(u for u in work.neighbors(start) if u in core_set)
-    order = [start, second]
-    prev, cur = start, second
-    while True:
-        nxt = next(u for u in work.neighbors(cur) if u in core_set and u != prev)
-        if nxt == start:
-            break
-        order.append(nxt)
-        prev, cur = cur, nxt
-    assert len(order) == len(core)
+    """The cycle of a fen-1 graph with pendant leaves, from its smallest
+    vertex towards that vertex's smaller cycle neighbour."""
+    adj = work._adj
+    deg, _, _ = peel_pendant_trees(adj, adj)
+    start = min(v for v, d in deg.items() if d)
+    (loop,) = core_chains(adj, deg, [start])
+    order = list(loop[:-1])
+    if len(order) != sum(1 for nb in adj.values() if len(nb) >= 2):
+        raise VerificationError("the graph is not one cycle with pendant leaves")
     return order
 
 

@@ -9,8 +9,10 @@ from geodetic.generators import cycle_with_leaves, random_fen_graph
 from geodetic.graph import (
     DisconnectedError,
     Graph,
+    VerificationError,
     feedback_edge_number,
     is_geodetic,
+    peel_pendant_trees,
 )
 from geodetic.oracle import min_geodetic_brute
 from geodetic.reduction import (
@@ -28,7 +30,6 @@ from geodetic.reduction import (
     reduce_to_fixpoint,
     solve_fen1_optimum,
     solve_tree,
-    two_core,
 )
 from tests.conftest import complete_graph, cycle_graph, path_graph, theta_graph
 
@@ -67,6 +68,11 @@ def test_mutable_graph_edit_operations():
     assert work.labels() == [1, 2, 3]
     fresh = work.add_vertex()
     assert fresh == 4  # labels of removed vertices are never reused
+
+
+def two_core(work: MutableGraph) -> set[int]:
+    deg, _, _ = peel_pendant_trees(work._adj, work.labels())
+    return {v for v, d in deg.items() if d}
 
 
 def test_two_core_strips_pendant_trees():
@@ -333,6 +339,53 @@ def test_reduce_preserves_optimum_and_lifts(rng: random.Random):
         assert is_geodetic(g, lifted)
         checked += 1
     assert checked == 60
+
+
+@pytest.mark.parametrize(
+    "entry, witness",
+    [
+        (TraceEntry("collapse", 0, (5,), (), {"leaf": 5, "support": 4}), [0]),
+        (
+            TraceEntry("twin", 1, (6,), (), {"kept": 5, "removed": 6, "support": 4}),
+            [5, 6],
+        ),
+        (TraceEntry("shortcut", 0, (), (7,), {"leaf": 7, "support": 3}), [0]),
+        (TraceEntry("margin", 0, (), (7,), {"leaf": 7, "support": 3}), [3, 7]),
+        (
+            TraceEntry(
+                "loop-prune",
+                0,
+                (8, 9),
+                (10,),
+                {
+                    "attach": 0,
+                    "had_leaf": False,
+                    "h": 3,
+                    "inner": (8, 9),
+                    "inner_leaves": {},
+                    "new_leaf": 10,
+                    "t": 0,
+                },
+            ),
+            [0],
+        ),
+    ],
+    ids=["collapse", "twin", "shortcut", "margin", "loop-prune"],
+)
+def test_lift_witness_rejects_a_witness_that_breaks_a_step(entry, witness):
+    with pytest.raises(VerificationError):
+        lift_witness([entry], witness)
+
+
+def test_lift_witness_rejects_a_corrupted_witness_of_a_real_trace():
+    # triangle with the pendant path 2-3-4: leaf 4 collapses into 3, which
+    # the reduced graph's every geodetic set must then hold
+    g = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
+    result = reduce_to_fixpoint(g)
+    assert [entry.rule for entry in result.trace] == ["collapse"]
+    assert lift_witness(result.trace, [1, 3]) == (1, 4)
+    with pytest.raises(VerificationError):
+        lift_witness(result.trace, [0, 1])
 
 
 def replay_entry(work: MutableGraph, entry: TraceEntry) -> None:

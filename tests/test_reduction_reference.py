@@ -6,7 +6,9 @@ sorted order for collapse and twin, and it recomputes the feedback edge
 number.  It runs on :class:`SortingGraph`, which restores the sorting
 accessors, the ``distance`` query and the component count it was written
 against.  ``geodetic.reduction.reduce_to_fixpoint`` must give the same
-trace, kernel, optimum drop and decomposition.
+trace, kernel, optimum drop and decomposition.  The earlier cycle walk of
+``solve_fen1_optimum`` is kept verbatim too, and
+``geodetic.reduction._cycle_order`` must give its order on fen-1 fixpoints.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import random
 from collections import Counter, deque
 from math import inf
 
-from geodetic.generators import random_fen_graph
+from geodetic.generators import cycle_with_leaves, random_fen_graph
 from geodetic.graph import DisconnectedError, Graph, GraphError
 from geodetic.reduction import (
     FeedbackEdgeDecomposition,
@@ -24,6 +26,7 @@ from geodetic.reduction import (
     PathRecord,
     ReductionResult,
     TraceEntry,
+    _cycle_order,
     reduce_to_fixpoint,
 )
 
@@ -365,3 +368,45 @@ def test_worklist_driver_matches_scanning_reference():
     assert graphs >= 1000
     rules = ("collapse", "twin", "shortcut", "margin", "loop-prune")
     assert all(fired[rule] >= 200 for rule in rules), fired
+
+
+# ---------------------------------------------------------------------------
+# the fen-1 cycle order
+
+
+def reference_cycle_order(work: MutableGraph) -> list[int]:
+    core = sorted(v for v in work.labels() if work.degree(v) >= 2)
+    core_set = set(core)
+    start = core[0]
+    second = min(u for u in work.neighbors(start) if u in core_set)
+    order = [start, second]
+    prev, cur = start, second
+    while True:
+        nxt = next(u for u in work.neighbors(cur) if u in core_set and u != prev)
+        if nxt == start:
+            break
+        order.append(nxt)
+        prev, cur = cur, nxt
+    assert len(order) == len(core)
+    return order
+
+
+def fen1_graphs():
+    rng = random.Random(20261020)
+    for i in range(400):
+        if i % 2:
+            length = rng.randrange(3, 40)
+            yield cycle_with_leaves(length, rng.randrange(0, length + 1), rng)
+        else:
+            yield random_fen_graph(rng.randrange(3, 120), 1, rng)
+
+
+def test_cycle_order_matches_reference_on_fen1_fixpoints():
+    """solve_fen1_optimum's witness follows this order, so it must not move."""
+    leafed = 0
+    for g in fen1_graphs():
+        work = reduce_to_fixpoint(g).graph
+        want = reference_cycle_order(work)
+        assert _cycle_order(work) == want
+        leafed += any(work.is_leafed(v) for v in want)
+    assert leafed >= 100
