@@ -10,9 +10,9 @@ decides.  Before the program is built, every ordered pair of segment ends
 is tested at the lower corner of the placement ranges; a pair shut there is
 shut for every placement.  The guess is refuted when a target lies on no
 open pair's route (``cover``) or a fixed placement deeper than one step has
-no open pair leaving its end (``margin``).  Guesses are processed in order
-of candidate size, so the first feasible one realizes the optimum of the
-reduced graph.
+no open pair leaving its end (``margin``); otherwise the program is built
+over the open pairs alone.  Guesses are processed in order of candidate
+size, so the first feasible one realizes the optimum of the reduced graph.
 """
 
 from __future__ import annotations
@@ -84,19 +84,19 @@ class PreparedInstance:
     ``gaps[a * len(end) + b]`` is the gap triple of an ordered pair of
     anchors on different segments: the through route between placements at
     offsets 0 from a and from b, minus each of the three detours around a
-    segment end (see :func:`_cross_shut`); None within one segment.
+    segment end (see :class:`_OpenRow`); None within one segment.
     Placements at offsets xa and xb add ``2*xb``, ``2*xa`` and
     ``2*xa + 2*xb`` to the three gaps, so the triple serves the shut test
     and the model's detour rows alike.
 
     ``route_masks`` memoises :func:`_route_mask` per ordered pair of segment
-    end vertices for :func:`refute_guess` and :func:`emit_ilp`.
-    ``open_rows`` memoises the shut tests for :func:`refute_guess`: the row
-    of anchor a at offset x sits under the key ``a * width + x``, with
-    ``width = max(h) + 1``, and maps the key ``b * width + xb`` of an anchor
-    b at offset xb to the pair's route mask with the bit ``open_bit`` (just
-    above the target bits) set, or to 0 when the pair is shut there or
-    b = a.  Both memos fill as guesses reach the pairs.
+    end vertices.  ``open_rows`` memoises the shut tests for
+    :func:`refute_guess` and :func:`emit_ilp`: the row of anchor a at offset
+    x sits under the key ``a * width + x``, with ``width = max(h) + 1``, and
+    maps the key ``b * width + xb`` of an anchor b at offset xb to the
+    pair's route mask with the bit ``open_bit`` (just above the target bits)
+    set, or to 0 when the pair is shut there or b = a.  Its rows start empty
+    and fill as guesses reach the pairs (see :class:`_OpenRow`).
     """
 
     work: MutableGraph
@@ -112,7 +112,7 @@ class PreparedInstance:
     width: int
     open_bit: int
     route_masks: dict[tuple[int, int], int] = field(default_factory=dict)
-    open_rows: dict[int, dict[int, int]] = field(default_factory=dict)
+    open_rows: dict[int, _OpenRow] = field(default_factory=dict)
 
 
 @dataclass
@@ -179,10 +179,16 @@ def prepare(work: MutableGraph, fed: FeedbackEdgeDecomposition) -> PreparedInsta
         gaps += row
     width = max(h, default=0) + 1
     open_bit = 1 << (len(h) + len(open_branch))
-    return PreparedInstance(
+    prep = PreparedInstance(
         work, fed, open_branch, empties, dist, leaf_count, end, h, d,
         tuple(gaps), width, open_bit,
     )
+    prep.open_rows.update(
+        (a * width + x, _OpenRow(prep, a, x))
+        for a in range(len(end))
+        for x in range(seg_h[a] + 1)
+    )
+    return prep
 
 
 def _subset_shape(
@@ -240,46 +246,47 @@ def _route_mask(prep: PreparedInstance, va: int, vb: int) -> int:
     return mask
 
 
-def _cross_shut(prep: PreparedInstance, a: int, b: int, xa: int, xb: int) -> bool:
-    """Whether the through route between two fixed placements, at offsets
-    ``xa`` from anchor a and ``xb`` from anchor b, is longer than a detour
-    around a segment end, so that the pair can never claim it.  Reads the
-    pair's gap triple (see ``PreparedInstance.gaps``)."""
-    g1, g2, g3 = prep.gaps[a * len(prep.end) + b]
-    return g1 + 2 * xb > 0 or g2 + 2 * xa > 0 or g3 + 2 * (xa + xb) > 0
-
-
 def _self_shut(prep: PreparedInstance, i: int, xl: int, xr: int) -> bool:
     """Whether the outside route between two fixed placements of segment i,
     at offsets ``xl`` and ``xr`` from its ends, is longer than the inside."""
     return xl + prep.d[i] + xr > prep.h[i] - xl - xr
 
 
-def _fill_row(
-    prep: PreparedInstance, row: dict[int, int], a: int, xa: int, keys: list[int]
-) -> None:
-    """Add to ``row``, the ``open_rows`` row of anchor a at offset ``xa``,
-    the entry of every anchor key of ``keys`` it lacks.  A shut pair's
-    route mask is never worked out."""
-    end, width = prep.end, prep.width
-    for key in keys:
-        if key in row:
-            continue
-        b, xb = divmod(key, width)
-        if b == a:
-            shut = True
-        elif b == a ^ 1:
-            shut = _self_shut(prep, a >> 1, xa, xb)
+class _OpenRow(dict):
+    """The ``open_rows`` row of anchor ``a`` at offset ``xa``.  A missing
+    key ``b * width + xb`` is worked out on its first read: 0 when b = a or
+    the pair is shut there, else the pair's route mask with ``open_bit``
+    set, so a shut pair's route mask is never worked out.  A pair across
+    segments is shut when its through route is longer than a detour around
+    a segment end: one of its gaps (see ``PreparedInstance.gaps``) is
+    positive at these offsets.  A pair within a segment is shut as
+    :func:`_self_shut` says."""
+
+    __slots__ = ("prep", "a", "xa", "gap_row")
+
+    def __init__(self, prep: PreparedInstance, a: int, xa: int) -> None:
+        self.prep, self.a, self.xa = prep, a, xa
+        self.gap_row = a * len(prep.end)
+
+    def __missing__(self, key: int) -> int:
+        prep, xa = self.prep, self.xa
+        b = key // prep.width
+        xb = key - b * prep.width
+        gap = prep.gaps[self.gap_row + b]
+        if gap is not None:
+            g1, g2, g3 = gap
+            shut = g1 + 2 * xb > 0 or g2 + 2 * xa > 0 or g3 + 2 * (xa + xb) > 0
         else:
-            shut = _cross_shut(prep, a, b, xa, xb)
-        if shut:
-            row[key] = 0
-            continue
-        va, vb = end[a], end[b]
-        mask = prep.route_masks.get((va, vb))
-        if mask is None:
-            mask = _route_mask(prep, va, vb)
-        row[key] = mask | prep.open_bit
+            shut = b == self.a or _self_shut(prep, b >> 1, xa, xb)
+        entry = 0
+        if not shut:
+            va, vb = prep.end[self.a], prep.end[b]
+            mask = prep.route_masks.get((va, vb))
+            if mask is None:
+                mask = _route_mask(prep, va, vb)
+            entry = mask | prep.open_bit
+        self[key] = entry
+        return entry
 
 
 def refute_guess(prep: PreparedInstance, applied: AppliedGuess) -> str | None:
@@ -288,16 +295,16 @@ def refute_guess(prep: PreparedInstance, applied: AppliedGuess) -> str | None:
     Every ordered pair of ``applied.anchors`` on different segments, and
     every anchor with the other end of its own segment, is tested at
     ``applied.offsets``, the lower corner of the placement ranges.  Each gap
-    :func:`_cross_shut` and :func:`_self_shut` compare is nondecreasing in
-    both offsets, so a pair shut at that corner is shut for every
-    placement, which is the ``gate <= 0`` that root propagation derives;
-    any other pair is open.  Each anchor's pairs come from its
-    ``open_rows`` row in one ``itemgetter`` call, OR-ed together: the
-    result holds the routes of its open pairs, and ``open_bit`` when one
-    is open.  Returns ``"cover"`` when a target lies on no open pair's
-    route, ``"margin"`` when a fixed offset above 1 has no open pair
-    leaving its end, and None otherwise.  Each case is a row of the program
-    that root propagation proves infeasible.
+    the shut tests of :class:`_OpenRow` compare is nondecreasing in both
+    offsets, so a pair shut at that corner is shut for every placement,
+    which is the ``gate <= 0`` that root propagation derives; any other pair
+    is open.  Each anchor's pairs come from its ``open_rows`` row in one
+    ``itemgetter`` call, OR-ed together: the result holds the routes of its
+    open pairs, and ``open_bit`` when one is open.  Returns ``"cover"``
+    when a target lies on no open pair's route, ``"margin"`` when a fixed
+    offset above 1 has no open pair leaving its end, and None otherwise.
+    Each case is a row of the program that root propagation proves
+    infeasible.
     """
     offsets, anchors = applied.offsets, applied.anchors
     reach = 0
@@ -308,14 +315,7 @@ def refute_guess(prep: PreparedInstance, applied: AppliedGuess) -> str | None:
         # anchors come in pairs, so the getter always returns a tuple
         get = itemgetter(*keys)
         for a, key in zip(anchors, keys):
-            row = rows.get(key)
-            if row is None:
-                row = rows[key] = {}
-            try:
-                union = reduce(or_, get(row))
-            except KeyError:
-                _fill_row(prep, row, a, offsets[a], keys)
-                union = reduce(or_, get(row))
+            union = reduce(or_, get(rows[key]))
             reach |= union
             if not union & open_bit and offsets[a] > 1:
                 margin = True
@@ -387,14 +387,19 @@ def emit_ilp(
     """Build the placement feasibility program for one applied guess.
 
     The route gates are numbered over the ordered pairs of
-    ``applied.anchors``: first the pairs across segments in anchors x
-    anchors order, then each anchor with the other end of its own segment.
-    Variables, in id order: those gates, short-margin flags, route
-    comparison helpers, and last the two placement offsets of every single
-    and pair segment.  Returns the model and the id of each placement
-    variable by anchor.  Placements of leafed segments are the constants
-    ``applied.offsets`` and fold into the rows instead of becoming
-    variables.
+    ``applied.anchors`` that are open at ``applied.offsets``, the lower
+    corner of the placement ranges: first the pairs across segments in
+    anchors x anchors order, then each anchor with the other end of its own
+    segment.  Each pair's verdict and route mask come from the
+    ``open_rows`` rows :func:`refute_guess` reads, so the program holds
+    exactly the pairs the refutation found open.  A pair shut at the corner
+    is shut for every placement, and root propagation would pin its gate at
+    0, so it gets no gate, no helper flags and no rows.  Variables, in id
+    order: the gates, short-margin flags, route comparison helpers, and
+    last the two placement offsets of every single and pair segment.
+    Returns the model and the id of each placement variable by anchor.
+    Placements of leafed segments are the constants ``applied.offsets`` and
+    fold into the rows instead of becoming variables.
     """
     end, hs, gaps = prep.end, prep.h, prep.gaps
     classes, offsets, anchors = applied.classes, applied.offsets, applied.anchors
@@ -402,20 +407,23 @@ def emit_ilp(
     big = 100 * (prep.work.m + len(applied.forced))
     model = IlpModel([], [])
 
-    pairs = [(a, b) for a in anchors for b in anchors if a >> 1 != b >> 1]
-    for a in anchors[::2]:
-        pairs += [(a, a + 1), (a + 1, a)]
+    # (a, b, open_rows entry) of every pair open at the corner
+    width, rows = prep.width, prep.open_rows
+    keys = {a: a * width + offsets[a] for a in anchors}
+    order = [(a, b) for a in anchors for b in anchors if a >> 1 != b >> 1]
+    order += [(a, a ^ 1) for a in anchors]
+    pairs = []
+    for a, b in order:
+        entry = rows[keys[a]][keys[b]]
+        if entry:
+            pairs.append((a, b, entry))
     gates = [model.add_variable(0, 1) for _ in pairs]
-    z_self: dict[int, int] = {}
-    cross_from: dict[int, list[int]] = {a: [] for a in anchors}
-    for (a, b), gate in zip(pairs, gates):
-        if a >> 1 != b >> 1:
-            cross_from[a].append(gate)
-        else:
-            z_self[a] = gate
+    leaving: dict[int, list[tuple[int, int]]] = {a: [] for a in anchors}
+    for (a, _b, _entry), gate in zip(pairs, gates):
+        leaving[a].append((gate, 1))
     margin_ok = {a: model.add_variable(0, 1) for a in anchors}
     helper = {}
-    for a, b in pairs:
+    for a, b, _entry in pairs:
         ia, ib = a >> 1, b >> 1
         if ia != ib and (classes[ia] != LEAFED or classes[ib] != LEAFED):
             helper[(a, b)] = tuple(model.add_variable(0, 1) for _ in range(3))
@@ -450,30 +458,22 @@ def emit_ilp(
     # helper flag lets its gap, the through route minus one detour, be
     # positive only while the flag is 0.  Within one segment, the outside route
     # between the two placements may be claimed only if it is no longer
-    # than the inside stretch.  Every target (see AppliedGuess) must lie on
-    # a claimed route: one covering row per target, in bit order.
+    # than the inside stretch.  Pairs of fixed placements are open, so they
+    # need neither.  Every target (see AppliedGuess) must lie on a claimed
+    # route: one covering row per target, in bit order.
     targets = applied.targets
     cover = {1 << t: [] for t in range(targets.bit_length()) if targets >> t & 1}
-    for (a, b), gate in zip(pairs, gates):
-        va, vb = end[a], end[b]
-        mask = prep.route_masks.get((va, vb))
-        if mask is None:
-            mask = _route_mask(prep, va, vb)
-        hit = mask & targets
+    for (a, b, entry), gate in zip(pairs, gates):
+        hit = entry & targets
         while hit:
             cover[hit & -hit].append((gate, 1))
             hit &= hit - 1
-        ia, ib = a >> 1, b >> 1
-        if ia == ib:
+        ia = a >> 1
+        if ia == b >> 1:
             if a in placed:
                 row = [(placed[a], 2), (placed[b], 2), (gate, big)]
                 model.add_constraint(row, "<=", big + hs[ia] - prep.d[ia])
-            elif _self_shut(prep, ia, offsets[a], offsets[b]):
-                model.add_constraint([(gate, 1)], "<=", 0)
-        elif (a, b) not in helper:
-            if _cross_shut(prep, a, b, offsets[a], offsets[b]):
-                model.add_constraint([(gate, 1)], "<=", 0)
-        else:
+        elif (a, b) in helper:
             g1, g2, g3 = gaps[a * len(end) + b]
             f1, f2, f3 = helper[(a, b)]
             terms_a, const_a = twice[a]
@@ -495,10 +495,7 @@ def emit_ilp(
             model.add_constraint([(placed[a], 1), (flag, big)], "<=", big + 1)
         elif offsets[a] > 1:
             model.add_constraint([(flag, 1)], "<=", 0)
-        terms = [(flag, 1)]
-        terms.extend((gate, 1) for gate in cross_from[a])
-        terms.append((z_self[a], 1))
-        model.add_constraint(terms, ">=", 1)
+        model.add_constraint([(flag, 1)] + leaving[a], ">=", 1)
     return model, placed
 
 
@@ -626,27 +623,28 @@ OUTCOMES = (
 
 def _process_guess(
     prep: PreparedInstance, ctx: GuessContext, node_budget: int | None
-) -> tuple[str, int, tuple[int, ...] | None]:
+) -> tuple[str, int, IlpModel | None, tuple[int, ...] | None]:
     """Decide one guess: its outcome (see ``OUTCOMES``), the ILP nodes it
-    took and, when feasible, the certified solution of the fixpoint graph."""
+    took, the model it solved if any and, when feasible, the certified
+    solution of the fixpoint graph."""
     applied = apply_guess(prep, ctx)
     refuted = refute_guess(prep, applied)
     if refuted is not None:
-        return f"guesses_refuted_{refuted}", 0, None
+        return f"guesses_refuted_{refuted}", 0, None, None
     model, placed = emit_ilp(prep, applied)
     res = solve_ilp(model, node_budget=node_budget)
     if res.status == BUDGET_EXHAUSTED:
-        return "ilp_budget_exhausted", res.nodes, None
+        return "ilp_budget_exhausted", res.nodes, model, None
     if res.status == INFEASIBLE:
         kind = "ilp_search_infeasible" if res.nodes else "ilp_root_infeasible"
-        return kind, res.nodes, None
+        return kind, res.nodes, model, None
     assert res.assignment is not None
     solution = reconstruct(prep, applied, res.assignment, placed)
     graph, labels = prep.work.to_graph()
     index = {lab: j for j, lab in enumerate(labels)}
     if not is_geodetic(graph, [index[v] for v in solution]):
         raise VerificationError(f"reduced-graph solution {solution} is not geodetic")
-    return "ilp_feasible", res.nodes, solution
+    return "ilp_feasible", res.nodes, model, solution
 
 
 def _solve_guesses(
@@ -655,14 +653,17 @@ def _solve_guesses(
     best: int | None = None
     best_witness: tuple[int, ...] | None = None
     min_exhausted: int | None = None
-    nodes_total = 0
+    nodes_total = vars_max = rows_max = 0
     generated = 0
     outcomes = dict.fromkeys(OUTCOMES, 0)
     for size, _seq, ctx in _effective_items(prep):
-        kind, nodes, witness = _process_guess(prep, ctx, node_budget)
+        kind, nodes, model, witness = _process_guess(prep, ctx, node_budget)
         generated += 1
         nodes_total += nodes
         outcomes[kind] += 1
+        if model is not None:
+            vars_max = max(vars_max, len(model.variables))
+            rows_max = max(rows_max, len(model.constraints))
         if kind == "ilp_budget_exhausted":
             min_exhausted = size if min_exhausted is None else min(min_exhausted, size)
         elif kind == "ilp_feasible":
@@ -676,6 +677,9 @@ def _solve_guesses(
     stats = {
         "guesses_generated": generated,
         "ilp_nodes": nodes_total,
+        # the largest model solved
+        "ilp_vars_max": vars_max,
+        "ilp_rows_max": rows_max,
         **outcomes,
     }
     return status, best, best_witness, min_exhausted, stats

@@ -37,6 +37,7 @@ from test_fpt_reference import (
     raw_guess_count,
     reference_graft,
     reference_record,
+    row_shut,
     seeded_kernels,
 )
 
@@ -495,6 +496,23 @@ def test_refuted_guesses_build_no_ilp(monkeypatch):
     assert stats["guesses_generated"] == 16
 
 
+def test_model_size_stats_are_the_largest_model_solved(monkeypatch):
+    # this draw builds three models, and the most variables and the most
+    # rows come from different ones
+    sizes = []
+    real = fpt.emit_ilp
+
+    def recording(prep, applied):
+        model, placed = real(prep, applied)
+        sizes.append((len(model.variables), len(model.constraints)))
+        return model, placed
+
+    monkeypatch.setattr(fpt, "emit_ilp", recording)
+    stats = solve_fpt(random_fen_graph(16, 6, random.Random(0))).stats
+    assert sizes == [(66, 84), (116, 114), (110, 131)]
+    assert (stats["ilp_vars_max"], stats["ilp_rows_max"]) == (116, 131)
+
+
 def test_shut_tests_grow_with_the_offsets():
     # refute_guess tests each anchor pair at the lower corner of its
     # placement ranges, which is sound because a pair shut at offsets
@@ -504,10 +522,7 @@ def test_shut_tests_grow_with_the_offsets():
     for prep in seeded_kernels(36, 40, 3):
         # every ordered pair of anchors 2*i + r, across and within segments
         for a, b in permutations(range(2 * len(prep.h)), 2):
-            if a // 2 == b // 2:
-                shut_at = functools.partial(fpt._self_shut, prep, a // 2)
-            else:
-                shut_at = functools.partial(fpt._cross_shut, prep, a, b)
+            shut_at = functools.partial(row_shut, prep, a, b)
             ha, hb = prep.h[a // 2], prep.h[b // 2]
             grid = [
                 [shut_at(xa, xb) for xb in range(1, hb + 1)] for xa in range(1, ha + 1)

@@ -13,8 +13,8 @@ compares the through route with the three detours one by one, and
 They are kept here as the references for
 :func:`geodetic.fpt._effective_items`, :func:`geodetic.fpt.candidate_size`,
 :func:`geodetic.fpt.emit_ilp`, :func:`geodetic.fpt.apply_guess`,
-:func:`geodetic.fpt.reconstruct`, :func:`geodetic.fpt._cross_shut` and
-:func:`geodetic.fpt.refute_guess`.
+:func:`geodetic.fpt.reconstruct`, the shut test of
+:class:`geodetic.fpt._OpenRow` and :func:`geodetic.fpt.refute_guess`.
 """
 
 import collections
@@ -26,7 +26,6 @@ from geodetic.fpt import (
     LEAFED,
     SINGLE,
     GuessContext,
-    _cross_shut,
     _effective_items,
     _route_mask,
     _self_shut,
@@ -349,6 +348,54 @@ def pairwise_emit_ilp(prep, applied):
     return model, placed
 
 
+def drop_shut_pairs(prep, applied, model, placed):
+    """Reference: the model and placement ids of :func:`pairwise_emit_ilp`
+    without the ordered anchor pairs that are shut at ``applied.offsets``,
+    the lower corner of the placement ranges.  A shut pair's gate and
+    helper flags go, and so does every row holding one of them, except a
+    covering row (0/1 terms ``>= 1``), which only loses the gate's term.
+    The remaining variables keep their order.  Also returns how many gates
+    went."""
+    offsets, anchors = applied.offsets, applied.anchors
+    # the reference numbers its gates from 0: cross pairs, then self pairs
+    pairs = [(a, b) for a in anchors for b in anchors if a >> 1 != b >> 1]
+    pairs += [(a, a ^ 1) for a in anchors]
+    shut = set()
+    for gate, (a, b) in enumerate(pairs):
+        if a >> 1 == b >> 1:
+            closed = _self_shut(prep, a >> 1, offsets[a], offsets[b])
+        else:
+            closed = reference_cross_shut(prep, a, b, offsets[a], offsets[b])
+        if closed:
+            shut.add(gate)
+    dropped = set(shut)
+    # a gate's helper flags share the row f1 + f2 + f3 - 3 * gate >= 0
+    for coeffs, _rhs in model.constraints:
+        if any(v in shut and c == 3 for v, c in coeffs):
+            dropped.update(v for v, _c in coeffs)
+    renumber = {}
+    variables = []
+    for v, domain in enumerate(model.variables):
+        if v not in dropped:
+            renumber[v] = len(variables)
+            variables.append(domain)
+    rows = []
+    for coeffs, rhs in model.constraints:
+        if rhs == -1 and all(c == -1 for _v, c in coeffs):
+            coeffs = tuple(t for t in coeffs if t[0] not in dropped)
+        elif any(v in dropped for v, _c in coeffs):
+            continue
+        rows.append((tuple((renumber[v], c) for v, c in coeffs), rhs))
+    compact = IlpModel(variables, rows)
+    return compact, {a: renumber[v] for a, v in placed.items()}, len(shut)
+
+
+def row_shut(prep, a, b, xa, xb):
+    """Whether the ``open_rows`` row of anchor a at offset ``xa`` holds
+    anchor b at offset ``xb`` as shut."""
+    return not prep.open_rows[a * prep.width + xa][b * prep.width + xb]
+
+
 def reference_cross_shut(prep, a, b, xa, xb):
     """Reference: whether the through route between placements at offsets
     ``xa`` from anchor a and ``xb`` from anchor b is longer than one of the
@@ -459,15 +506,22 @@ def test_stream_matches_eager_reference():
 
 
 def test_emit_ilp_matches_pairwise_reference():
-    # every guess the solver applies, up to the first feasible one
-    models = 0
+    # every guess the solver applies, up to the first feasible one: the
+    # model is the full reference model less the pairs shut at the corner
+    models = dropped = dropped_vars = 0
     verdicts = [0, 0]
     for prep in seeded_kernels(32, 200, 0):
         for _size, _seq, ctx in _effective_items(prep):
             applied = apply_guess(prep, ctx)
             model, placed = emit_ilp(prep, applied)
-            assert (model, placed) == pairwise_emit_ilp(prep, applied)
+            full, full_placed = pairwise_emit_ilp(prep, applied)
+            compact, compact_placed, shut = drop_shut_pairs(
+                prep, applied, full, full_placed
+            )
+            assert (model, placed) == (compact, compact_placed)
             models += 1
+            dropped_vars += len(full.variables) - len(model.variables)
+            dropped += shut
             res = solve_ilp(model)
             if res.status == FEASIBLE:
                 break
@@ -490,6 +544,39 @@ def test_emit_ilp_matches_pairwise_reference():
                 verdicts[verdict] += 1
     assert models > 2_000
     assert min(verdicts) > 20
+    # models lose shut pairs, and some of those pairs helper flags too
+    assert dropped > 80 * models and dropped_vars > dropped, (
+        models, dropped, dropped_vars
+    )
+
+
+def test_compact_model_searches_like_the_full_model():
+    # every guess the refutation lets through, up to the first feasible
+    # one: dropping the shut pairs keeps the status, the placements and the
+    # solution, and only ever saves search nodes
+    solved = fewer = 0
+    for prep in seeded_kernels(32, 200, 0):
+        for _size, _seq, ctx in _effective_items(prep):
+            applied = apply_guess(prep, ctx)
+            if refute_guess(prep, applied) is not None:
+                continue
+            model, placed = emit_ilp(prep, applied)
+            full_model, full_placed = pairwise_emit_ilp(prep, applied)
+            res, full = solve_ilp(model), solve_ilp(full_model)
+            assert res.status == full.status, ctx
+            assert res.nodes <= full.nodes, ctx
+            solved += 1
+            fewer += res.nodes < full.nodes
+            if res.status == FEASIBLE:
+                break
+        assert res.status == FEASIBLE
+        assert {a: res.assignment[v] for a, v in placed.items()} == {
+            a: full.assignment[v] for a, v in full_placed.items()
+        }
+        assert reconstruct(prep, applied, res.assignment, placed) == reconstruct(
+            prep, applied, full.assignment, full_placed
+        )
+    assert solved >= 200 and fewer >= 1, (solved, fewer)
 
 
 def test_refuted_guesses_are_infeasible_at_the_ilp_root():
@@ -528,7 +615,7 @@ def test_gap_triple_shut_test_matches_three_detours():
                 continue
             ha, hb = prep.h[a >> 1], prep.h[b >> 1]
             for xa, xb in itertools.product(range(ha + 1), range(hb + 1)):
-                verdict = _cross_shut(prep, a, b, xa, xb)
+                verdict = row_shut(prep, a, b, xa, xb)
                 assert verdict == reference_cross_shut(prep, a, b, xa, xb), (
                     a, b, xa, xb
                 )
