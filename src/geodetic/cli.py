@@ -8,6 +8,7 @@ answer unknown.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 import time
@@ -99,7 +100,8 @@ def cmd_solve(args) -> int:
     witness: list[int] = []
     status = OPTIMAL
     for ci, comp in enumerate(comps):
-        sub = induced_subgraph(g, comp)
+        # a connected input is its own only component, numbered as it is
+        sub = g if len(comps) == 1 else induced_subgraph(g, comp)
         st, opt, wit, used = _solve_component(sub, args.algo, args)
         if args.cross_check:
             other = "brute" if used.startswith("fpt") else "fpt"
@@ -313,7 +315,11 @@ def cmd_generate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: each ``add_argument``
+    makes a help formatter, which asks for the terminal size, and parsing
+    leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="geodetic", description="exact geodetic set toolkit"
     )

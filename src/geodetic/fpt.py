@@ -10,9 +10,10 @@ decides.  Before the program is built, every ordered pair of segment ends
 is tested at the lower corner of the placement ranges; a pair shut there is
 shut for every placement.  The guess is refuted when a target lies on no
 open pair's route (``cover``) or a fixed placement deeper than one step has
-no open pair leaving its end (``margin``); otherwise the program is built
-over the open pairs alone.  Guesses are processed in order of candidate
-size, so the first feasible one realizes the optimum of the reduced graph.
+no open pair leaving its end (``margin``).  Otherwise an open pair of two
+fixed placements claims its route outright, and the program is built over
+the open pairs with a placed end.  Guesses are processed by candidate size,
+so the first feasible one realizes the optimum of the reduced graph.
 """
 
 from __future__ import annotations
@@ -386,20 +387,27 @@ def emit_ilp(
 ) -> tuple[IlpModel, dict[int, int]]:
     """Build the placement feasibility program for one applied guess.
 
-    The route gates are numbered over the ordered pairs of
-    ``applied.anchors`` that are open at ``applied.offsets``, the lower
-    corner of the placement ranges: first the pairs across segments in
-    anchors x anchors order, then each anchor with the other end of its own
-    segment.  Each pair's verdict and route mask come from the
-    ``open_rows`` rows :func:`refute_guess` reads, so the program holds
-    exactly the pairs the refutation found open.  A pair shut at the corner
-    is shut for every placement, and root propagation would pin its gate at
-    0, so it gets no gate, no helper flags and no rows.  Variables, in id
-    order: the gates, short-margin flags, route comparison helpers, and
-    last the two placement offsets of every single and pair segment.
-    Returns the model and the id of each placement variable by anchor.
-    Placements of leafed segments are the constants ``applied.offsets`` and
-    fold into the rows instead of becoming variables.
+    The program holds the ordered pairs of ``applied.anchors`` that are
+    open at ``applied.offsets``, the lower corner of the placement ranges:
+    first the pairs across segments in anchors x anchors order, then each
+    anchor with the other end of its own segment.  Each pair's verdict and
+    route mask come from the ``open_rows`` rows :func:`refute_guess` reads.
+    A pair shut at the corner is shut for every placement, and root
+    propagation would pin its gate at 0, so it gets no gate, no helper
+    flags and no rows.
+
+    Placements of leafed segments are fixed: they are the constants
+    ``applied.offsets`` and fold into the rows.  A pair of two fixed ends
+    open at the corner is open at its real placement, so its route is
+    claimed outright: it gets no gate, its targets no covering row and its
+    first anchor no margin row.  Fixed anchors get no margin flag; one
+    deeper than one step keeps only ``leaving >= 1`` over its gated pairs.
+    A solution, with those gates at 1 and each fixed anchor's flag at 1
+    when its offset is at most 1, solves the full program.  Variables, in
+    id order: the gates, the margin flags of the placed anchors, route
+    comparison helpers, and last the two placements of every single and
+    pair segment.  Returns the model and the id of each placement variable
+    by anchor.
     """
     end, hs, gaps = prep.end, prep.h, prep.gaps
     classes, offsets, anchors = applied.classes, applied.offsets, applied.anchors
@@ -407,30 +415,35 @@ def emit_ilp(
     big = 100 * (prep.work.m + len(applied.forced))
     model = IlpModel([], [])
 
-    # (a, b, open_rows entry) of every pair open at the corner
+    # (a, b, open_rows entry) of every pair open at the corner with a placed
+    # end; the routes of the pairs of two fixed ends are claimed outright
     width, rows = prep.width, prep.open_rows
     keys = {a: a * width + offsets[a] for a in anchors}
+    fixed = {a for a in anchors if classes[a >> 1] == LEAFED}
     order = [(a, b) for a in anchors for b in anchors if a >> 1 != b >> 1]
     order += [(a, a ^ 1) for a in anchors]
-    pairs = []
+    pairs, claimed, settled = [], 0, set()
     for a, b in order:
         entry = rows[keys[a]][keys[b]]
-        if entry:
+        if not entry:
+            continue
+        if a in fixed and b in fixed:
+            claimed |= entry
+            settled.add(a)
+        else:
             pairs.append((a, b, entry))
     gates = [model.add_variable(0, 1) for _ in pairs]
     leaving: dict[int, list[tuple[int, int]]] = {a: [] for a in anchors}
     for (a, _b, _entry), gate in zip(pairs, gates):
         leaving[a].append((gate, 1))
-    margin_ok = {a: model.add_variable(0, 1) for a in anchors}
-    helper = {}
-    for a, b, _entry in pairs:
-        ia, ib = a >> 1, b >> 1
-        if ia != ib and (classes[ia] != LEAFED or classes[ib] != LEAFED):
-            helper[(a, b)] = tuple(model.add_variable(0, 1) for _ in range(3))
+    margin_ok = {a: model.add_variable(0, 1) for a in anchors if a not in fixed}
+    helper = {
+        (a, b): tuple(model.add_variable(0, 1) for _ in range(3))
+        for a, b, _entry in pairs
+        if a >> 1 != b >> 1
+    }
     placed = {
-        a: model.add_variable(0, hs[a >> 1])
-        for a in anchors
-        if classes[a >> 1] != LEAFED
+        a: model.add_variable(0, hs[a >> 1]) for a in anchors if a not in fixed
     }
     # twice each anchor's offset, as terms and a constant
     twice = {
@@ -438,10 +451,9 @@ def emit_ilp(
         for a in anchors
     }
 
-    # placement ranges and interior spacing per open segment
-    for a in anchors[::2]:
-        if a not in placed:
-            continue
+    # placement ranges and interior spacing per open segment, whose two
+    # anchors follow each other in placed
+    for a in list(placed)[::2]:
         h, d = hs[a >> 1], prep.d[a >> 1]
         xl, xr = placed[a], placed[a + 1]
         model.add_constraint([(xl, 1)], ">=", 1)
@@ -458,10 +470,10 @@ def emit_ilp(
     # helper flag lets its gap, the through route minus one detour, be
     # positive only while the flag is 0.  Within one segment, the outside route
     # between the two placements may be claimed only if it is no longer
-    # than the inside stretch.  Pairs of fixed placements are open, so they
-    # need neither.  Every target (see AppliedGuess) must lie on a claimed
-    # route: one covering row per target, in bit order.
-    targets = applied.targets
+    # than the inside stretch.  Every target (see AppliedGuess) off the
+    # claimed routes must lie on a gated one: one covering row per target,
+    # in bit order.
+    targets = applied.targets & ~claimed
     cover = {1 << t: [] for t in range(targets.bit_length()) if targets >> t & 1}
     for (a, b, entry), gate in zip(pairs, gates):
         hit = entry & targets
@@ -470,10 +482,9 @@ def emit_ilp(
             hit &= hit - 1
         ia = a >> 1
         if ia == b >> 1:
-            if a in placed:
-                row = [(placed[a], 2), (placed[b], 2), (gate, big)]
-                model.add_constraint(row, "<=", big + hs[ia] - prep.d[ia])
-        elif (a, b) in helper:
+            row = [(placed[a], 2), (placed[b], 2), (gate, big)]
+            model.add_constraint(row, "<=", big + hs[ia] - prep.d[ia])
+        else:
             g1, g2, g3 = gaps[a * len(end) + b]
             f1, f2, f3 = helper[(a, b)]
             terms_a, const_a = twice[a]
@@ -490,12 +501,12 @@ def emit_ilp(
     # a placement deeper than one step from its segment end needs a claimed
     # route leaving through that end
     for a in anchors:
-        flag = margin_ok[a]
         if a in placed:
+            flag = margin_ok[a]
             model.add_constraint([(placed[a], 1), (flag, big)], "<=", big + 1)
-        elif offsets[a] > 1:
-            model.add_constraint([(flag, 1)], "<=", 0)
-        model.add_constraint([(flag, 1)] + leaving[a], ">=", 1)
+            model.add_constraint([(flag, 1)] + leaving[a], ">=", 1)
+        elif offsets[a] > 1 and a not in settled:
+            model.add_constraint(leaving[a], ">=", 1)
     return model, placed
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from geodetic import fpt
-from geodetic.cli import main
+from geodetic.cli import build_parser, main
 from geodetic.graph import Graph, feedback_edge_number, format_graph, parse_graph
 
 from conftest import complete_graph, cycle_graph, path_graph
@@ -284,6 +284,24 @@ def test_deterministic_reports_are_byte_identical(tmp_path, capsys):
     _code, first = run(capsys, ["solve", path, "--deterministic"])
     _code, second = run(capsys, ["solve", path, "--deterministic"])
     assert first == second
+
+
+def test_consecutive_calls_share_no_state(tmp_path, capsys):
+    # one parser serves every call in a process, so no call's arguments
+    # may reach the next, not even from a call that failed to parse
+    assert build_parser() is build_parser()
+    path = write_graph(tmp_path, "c6.graph", cycle_graph(6))
+    code, out = run(capsys, ["solve", path, "--k", "3", "--deterministic"])
+    assert code == 0
+    assert "k 3" in out.splitlines()
+    code, plain = run(capsys, ["solve", path, "--deterministic"])
+    assert code == 0
+    assert not [ln for ln in plain.splitlines() if ln.split()[0] in ("k", "answer")]
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", path, "--algo", "none"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert run(capsys, ["solve", path, "--deterministic"]) == (0, plain)
 
 
 def test_quiet_silences_stdout(tmp_path, capsys):

@@ -422,12 +422,21 @@ def test_matches_oracle_at_fen_10_to_14():
 
 
 def test_budget_exhaustion_degrades_to_unknown():
-    g = complete_graph(4)
+    # its guesses need 69 search nodes in all; at one node a guess of size
+    # 6 runs out of budget before one of size 7 is found feasible, so 7 is
+    # only an upper bound
+    g = random_fen_graph(14, 6, random.Random(4))
     res = solve_fpt(g, node_budget=1)
-    assert res.status == UNKNOWN
-    assert res.optimum is None
+    assert (res.status, res.optimum) == (UNKNOWN, 7)
+    assert res.stats["ilp_budget_exhausted"] > 0
     # a generous budget restores the exact answer
-    assert solve_fpt(g, node_budget=100000).optimum == 4
+    res = solve_fpt(g, node_budget=100000)
+    assert (res.status, res.optimum, res.stats["ilp_nodes"]) == (OPTIMAL, 6, 69)
+    # K4's only model is empty, feasible at its first node; a zero budget
+    # stops even that one, and nothing is found
+    res = solve_fpt(complete_graph(4), node_budget=0)
+    assert (res.status, res.optimum) == (UNKNOWN, None)
+    assert solve_fpt(complete_graph(4), node_budget=1).optimum == 4
 
 
 def test_dense_hub_instance_stays_cheap():
@@ -497,7 +506,7 @@ def test_refuted_guesses_build_no_ilp(monkeypatch):
 
 
 def test_model_size_stats_are_the_largest_model_solved(monkeypatch):
-    # this draw builds three models, and the most variables and the most
+    # this draw builds two models, and the most variables and the most
     # rows come from different ones
     sizes = []
     real = fpt.emit_ilp
@@ -508,9 +517,9 @@ def test_model_size_stats_are_the_largest_model_solved(monkeypatch):
         return model, placed
 
     monkeypatch.setattr(fpt, "emit_ilp", recording)
-    stats = solve_fpt(random_fen_graph(16, 6, random.Random(0))).stats
-    assert sizes == [(66, 84), (116, 114), (110, 131)]
-    assert (stats["ilp_vars_max"], stats["ilp_rows_max"]) == (116, 131)
+    stats = solve_fpt(random_fen_graph(18, 7, random.Random(139))).stats
+    assert sizes == [(144, 164), (148, 161)]
+    assert (stats["ilp_vars_max"], stats["ilp_rows_max"]) == (148, 164)
 
 
 def test_shut_tests_grow_with_the_offsets():

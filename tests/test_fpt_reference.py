@@ -10,7 +10,8 @@ fixpoint graph, hung a leaf on every forced vertex and read the offsets,
 targets and solution off that grafted copy.  ``reference_cross_shut``
 compares the through route with the three detours one by one, and
 ``pairwise_refute_guess`` looks each ordered anchor pair up on its own.
-They are kept here as the references for
+``drop_shut_pairs`` and ``drop_fixed_pairs`` take the full model to the
+compact one in two steps.  They are kept here as the references for
 :func:`geodetic.fpt._effective_items`, :func:`geodetic.fpt.candidate_size`,
 :func:`geodetic.fpt.emit_ilp`, :func:`geodetic.fpt.apply_guess`,
 :func:`geodetic.fpt.reconstruct`, the shut test of
@@ -357,17 +358,11 @@ def drop_shut_pairs(prep, applied, model, placed):
     The remaining variables keep their order.  Also returns how many gates
     went."""
     offsets, anchors = applied.offsets, applied.anchors
-    # the reference numbers its gates from 0: cross pairs, then self pairs
-    pairs = [(a, b) for a in anchors for b in anchors if a >> 1 != b >> 1]
-    pairs += [(a, a ^ 1) for a in anchors]
-    shut = set()
-    for gate, (a, b) in enumerate(pairs):
-        if a >> 1 == b >> 1:
-            closed = _self_shut(prep, a >> 1, offsets[a], offsets[b])
-        else:
-            closed = reference_cross_shut(prep, a, b, offsets[a], offsets[b])
-        if closed:
-            shut.add(gate)
+    shut = {
+        gate
+        for gate, (a, b) in enumerate(reference_gate_pairs(anchors))
+        if reference_pair_shut(prep, a, b, offsets[a], offsets[b])
+    }
     dropped = set(shut)
     # a gate's helper flags share the row f1 + f2 + f3 - 3 * gate >= 0
     for coeffs, _rhs in model.constraints:
@@ -388,6 +383,70 @@ def drop_shut_pairs(prep, applied, model, placed):
         rows.append((tuple((renumber[v], c) for v, c in coeffs), rhs))
     compact = IlpModel(variables, rows)
     return compact, {a: renumber[v] for a, v in placed.items()}, len(shut)
+
+
+def drop_fixed_pairs(prep, applied, model, placed):
+    """Reference: the model and placement ids of :func:`drop_shut_pairs`
+    with the routes between fixed placements claimed outright.  The gate of
+    every open pair of two anchors on leafed segments is fixed at 1, and
+    each such anchor's margin flag at 1 when its offset is at most 1, else
+    at 0.  Also returns the value of each fixed variable by its id in
+    ``model``."""
+    classes, offsets, anchors = applied.classes, applied.offsets, applied.anchors
+    # drop_shut_pairs keeps the gates of the open pairs first, in the
+    # reference order, and the margin flags next, in anchor order
+    pairs = [
+        (a, b)
+        for a, b in reference_gate_pairs(anchors)
+        if not reference_pair_shut(prep, a, b, offsets[a], offsets[b])
+    ]
+    fixed = {a for a in anchors if classes[a >> 1] == LEAFED}
+    values = {
+        gate: 1 for gate, (a, b) in enumerate(pairs) if a in fixed and b in fixed
+    }
+    for flag, a in enumerate(anchors, start=len(pairs)):
+        if a in fixed:
+            values[flag] = int(offsets[a] <= 1)
+    compact, compact_placed = fix_variables(model, placed, values)
+    return compact, compact_placed, values
+
+
+def fix_variables(model, placed, values):
+    """Reference: the model and placement ids with each variable in
+    ``values`` fixed at its value.  A row holding a fixed variable takes its
+    value into the right side, and goes when it then holds for every value
+    of its other variables.  The remaining variables keep their order."""
+    renumber = {}
+    variables = []
+    for v, domain in enumerate(model.variables):
+        if v not in values:
+            renumber[v] = len(variables)
+            variables.append(domain)
+    rows = []
+    for coeffs, rhs in model.constraints:
+        kept = tuple((v, c) for v, c in coeffs if v not in values)
+        if len(kept) < len(coeffs):
+            rhs -= sum(c * values[v] for v, c in coeffs if v in values)
+            # the greatest left side: each term at its upper bound if c > 0
+            if sum(c * model.variables[v][c > 0] for v, c in kept) <= rhs:
+                continue
+        rows.append((tuple((renumber[v], c) for v, c in kept), rhs))
+    return IlpModel(variables, rows), {a: renumber[v] for a, v in placed.items()}
+
+
+def reference_gate_pairs(anchors):
+    """The ordered anchor pairs in the order :func:`pairwise_emit_ilp`
+    numbers its gates from 0: cross pairs, then self pairs."""
+    pairs = [(a, b) for a in anchors for b in anchors if a >> 1 != b >> 1]
+    return pairs + [(a, a ^ 1) for a in anchors]
+
+
+def reference_pair_shut(prep, a, b, xa, xb):
+    """Reference: whether the ordered anchor pair (a, b) is shut at offsets
+    ``xa`` and ``xb``, within one segment or across two."""
+    if a >> 1 == b >> 1:
+        return _self_shut(prep, a >> 1, xa, xb)
+    return reference_cross_shut(prep, a, b, xa, xb)
 
 
 def row_shut(prep, a, b, xa, xb):
@@ -507,21 +566,27 @@ def test_stream_matches_eager_reference():
 
 def test_emit_ilp_matches_pairwise_reference():
     # every guess the solver applies, up to the first feasible one: the
-    # model is the full reference model less the pairs shut at the corner
-    models = dropped = dropped_vars = 0
+    # model is the full reference model less the pairs shut at the corner,
+    # with the routes between fixed placements claimed outright
+    models = dropped = dropped_vars = claimed = empty = 0
     verdicts = [0, 0]
     for prep in seeded_kernels(32, 200, 0):
         for _size, _seq, ctx in _effective_items(prep):
             applied = apply_guess(prep, ctx)
             model, placed = emit_ilp(prep, applied)
             full, full_placed = pairwise_emit_ilp(prep, applied)
-            compact, compact_placed, shut = drop_shut_pairs(
+            open_model, open_placed, shut = drop_shut_pairs(
                 prep, applied, full, full_placed
+            )
+            compact, compact_placed, fixed = drop_fixed_pairs(
+                prep, applied, open_model, open_placed
             )
             assert (model, placed) == (compact, compact_placed)
             models += 1
             dropped_vars += len(full.variables) - len(model.variables)
             dropped += shut
+            claimed += len(fixed)
+            empty += not model.variables
             res = solve_ilp(model)
             if res.status == FEASIBLE:
                 break
@@ -544,10 +609,46 @@ def test_emit_ilp_matches_pairwise_reference():
                 verdicts[verdict] += 1
     assert models > 2_000
     assert min(verdicts) > 20
-    # models lose shut pairs, and some of those pairs helper flags too
-    assert dropped > 80 * models and dropped_vars > dropped, (
-        models, dropped, dropped_vars
+    # models lose shut pairs, and some of those pairs helper flags too;
+    # claimed pairs and fixed margin flags go as well, and guesses with no
+    # placed segment build an empty model
+    assert dropped > 80 * models and dropped_vars > dropped + claimed, (
+        models, dropped, dropped_vars, claimed
     )
+    assert claimed > 50 * models and empty > 1_000, (models, claimed, empty)
+
+
+def test_claimed_routes_extend_to_solutions_of_the_open_model():
+    # every feasible model the solver solves on the same kernels: its
+    # solution, with each claimed gate at 1 and each fixed anchor's margin
+    # flag at 1 when its offset is at most 1, else at 0, satisfies every
+    # row of the model before the routes between fixed placements went
+    checked = flags_off = 0
+    for prep in seeded_kernels(32, 200, 0):
+        for _size, _seq, ctx in _effective_items(prep):
+            applied = apply_guess(prep, ctx)
+            if refute_guess(prep, applied) is not None:
+                continue
+            model, _placed = emit_ilp(prep, applied)
+            res = solve_ilp(model)
+            if res.status != FEASIBLE:
+                continue
+            full, full_placed = pairwise_emit_ilp(prep, applied)
+            open_model, open_placed, _shut = drop_shut_pairs(
+                prep, applied, full, full_placed
+            )
+            fixed = drop_fixed_pairs(prep, applied, open_model, open_placed)[2]
+            solved = iter(res.assignment[v] for v in range(len(model.variables)))
+            value = [
+                fixed[v] if v in fixed else next(solved)
+                for v in range(len(open_model.variables))
+            ]
+            for coeffs, rhs in open_model.constraints:
+                assert sum(c * value[v] for v, c in coeffs) <= rhs, (ctx, coeffs)
+            checked += 1
+            flags_off += sum(1 for a in applied.anchors if applied.offsets[a] > 1)
+            break
+    assert checked == 200 and flags_off > 50, (checked, flags_off)
 
 
 def test_compact_model_searches_like_the_full_model():
