@@ -4,11 +4,13 @@ The pipeline reduces the input to a fixpoint and then splits on what is
 left.  Trees and lone cycles are closed forms.  Everything else goes
 through guess enumeration: which unleafed branch vertices join the
 solution, and how many solution vertices sit in the interior of each
-unleafed segment.  A guess fixes the candidate size outright and leaves
-only the exact placements open, which a small integer feasibility program
-decides.  Before the program is built, every ordered pair of segment ends
-is tested at the lower corner of the placement ranges; a pair shut there is
-shut for every placement.  The guess is refuted when a target lies on no
+segment they leave unleafed.  What a branch subset forces is worked out
+once, and each of its guesses lays only its counts over that record.  A
+guess fixes the candidate size outright and leaves only the exact
+placements open, which a small integer feasibility program decides.
+Before the program is built, every ordered pair of segment ends is tested
+at the lower corner of the placement ranges; a pair shut there is shut
+for every placement.  The guess is refuted when a target lies on no
 open pair's route (``cover``) or a fixed placement deeper than one step has
 no open pair leaving its end (``margin``).  Otherwise an open pair of two
 fixed placements claims its route outright, and the program is built over
@@ -66,11 +68,13 @@ class GuessContext:
 
     ``chosen`` lists the unleafed branch vertices that join the solution;
     ``interior_counts`` maps each unleafed segment with no chosen endpoint
-    to the number of solution vertices inside it.
+    to the number of solution vertices inside it.  ``record`` may carry
+    what ``chosen`` forces (see :func:`_subset_record`), outside comparisons.
     """
 
     chosen: tuple[int, ...]
     interior_counts: tuple[tuple[int, int], ...]
+    record: AppliedGuess | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -120,8 +124,8 @@ class PreparedInstance:
 class AppliedGuess:
     """What a guess fixes on the fixpoint graph, which it leaves untouched.
 
-    ``forced`` holds the solution vertices the guess decides outright: the
-    chosen branch vertices and the pinned supports.  ``classes`` gives each
+    ``forced``, the chosen branch vertices and the pinned supports, and
+    ``offsets`` depend on the branch subset alone; ``classes`` gives each
     segment's class.  ``offsets[a]`` is anchor a's offset at the lower
     corner of the placement ranges: on a leafed segment, the fixed distance
     from that end to the nearest leafed position (a leaf of the fixpoint, a
@@ -192,39 +196,20 @@ def prepare(work: MutableGraph, fed: FeedbackEdgeDecomposition) -> PreparedInsta
     return prep
 
 
-def _subset_shape(
-    prep: PreparedInstance, chosen: tuple[int, ...]
-) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """Base size, counted segments and their count caps for a branch subset.
-
-    The base size is the candidate size with all counts zero: leaves,
-    chosen vertices and pinned segments (see :func:`candidate_size`).  A
-    segment with a chosen endpoint takes no count; any other unleafed
-    segment of length h can hold up to min(2, h - 1).
-    """
-    st = set(chosen)
-    end, hs = prep.end, prep.h
-    base = prep.leaf_count + len(chosen)
-    free: list[int] = []
-    for i in prep.empty_segments:
-        if end[2 * i] in st or end[2 * i + 1] in st:
-            if hs[i] > prep.d[i]:
-                base += 1
-        else:
-            free.append(i)
-    return base, tuple(free), tuple(min(2, hs[i] - 1) for i in free)
+def _base_size(prep: PreparedInstance, chosen: tuple[int, ...]) -> int:
+    """Candidate size of a subset's guess with every count at 0, without
+    its record: the leaves, the chosen vertices and the pins."""
+    st, end = set(chosen), prep.end
+    return prep.leaf_count + len(chosen) + sum(
+        prep.h[i] > prep.d[i] and (end[2 * i] in st or end[2 * i + 1] in st)
+        for i in prep.empty_segments
+    )
 
 
 def candidate_size(prep: PreparedInstance, ctx: GuessContext) -> int:
-    """Size every feasible candidate of this guess must have.
-
-    Leaves of the fixpoint graph and chosen branch vertices are all
-    forced, and each untouched unleafed segment contributes exactly its
-    guessed interior count.  A segment with a chosen endpoint and an
-    interior longer than the outside distance adds one pinned vertex.
-    """
-    base, _free, _caps = _subset_shape(prep, ctx.chosen)
-    return base + sum(c for _i, c in ctx.interior_counts)
+    """Size every feasible candidate of this guess must have: its subset's
+    base size plus its count total."""
+    return _base_size(prep, ctx.chosen) + sum(c for _i, c in ctx.interior_counts)
 
 
 def _route_mask(prep: PreparedInstance, va: int, vb: int) -> int:
@@ -299,10 +284,8 @@ def refute_guess(prep: PreparedInstance, applied: AppliedGuess) -> str | None:
     the shut tests of :class:`_OpenRow` compare is nondecreasing in both
     offsets, so a pair shut at that corner is shut for every placement,
     which is the ``gate <= 0`` that root propagation derives; any other pair
-    is open.  Each anchor's pairs come from its ``open_rows`` row in one
-    ``itemgetter`` call, OR-ed together: the result holds the routes of its
-    open pairs, and ``open_bit`` when one is open.  Returns ``"cover"``
-    when a target lies on no open pair's route, ``"margin"`` when a fixed
+    is open.  Returns ``"cover"`` when a target lies on no open pair's
+    route (the OR of the ``open_rows`` entries), ``"margin"`` when a fixed
     offset above 1 has no open pair leaving its end, and None otherwise.
     Each case is a row of the program that root propagation proves
     infeasible.
@@ -327,58 +310,76 @@ def refute_guess(prep: PreparedInstance, applied: AppliedGuess) -> str | None:
     return None
 
 
-def apply_guess(prep: PreparedInstance, ctx: GuessContext) -> AppliedGuess:
-    """Work out what a guess forces, without editing the fixpoint graph.
+def _subset_record(prep: PreparedInstance, chosen: tuple[int, ...]) -> AppliedGuess:
+    """What a branch subset forces, as its guess with every count at 0.
 
     Chosen branch vertices are forced and count as leafed.  An unleafed
     segment with a chosen endpoint and a strictly shorter outside route
     forces one more, pinned vertex: at the midpoint when both ends are
     chosen, otherwise at the deepest position the chosen end can still
     cover.  Forcing a vertex acts as a pendant leaf there would: a leaf l
-    at s has I(l, x) = {l} | I(s, x) and changes no other distance.
+    at s has I(l, x) = {l} | I(s, x) and changes no other distance.  Every
+    other unleafed segment is counted, here empty.
     """
-    st = set(ctx.chosen)
-    counts = dict(ctx.interior_counts)
-    forced = list(ctx.chosen)
+    st = set(chosen)
+    forced = list(chosen)
     classes: list[str] = []
     offsets: list[int] = []
     anchors: list[int] = []
+    counts: list[tuple[int, int]] = []
     targets = 0
     for p in prep.fed.paths:
         i = p.index
-        h, left, right = prep.h[i], prep.end[2 * i] in st, prep.end[2 * i + 1] in st
+        h, d = prep.h[i], prep.d[i]
+        left, right = prep.end[2 * i] in st, prep.end[2 * i + 1] in st
         positions = set(p.leaf_positions)
         if left:
             positions.add(0)
         if right:
             positions.add(h)
-        if not p.leaf_positions and positions:
-            d = prep.d[i]
-            if h > d:
-                if left and right:
-                    pos = h // 2
-                elif left:
-                    pos = (h + d) // 2
-                else:
-                    pos = h - (h + d) // 2
-                forced.append(p.vertices[pos])
-                positions.add(pos)
+        if positions and not p.leaf_positions and h > d:
+            if left and right:
+                pos = h // 2
+            elif left:
+                pos = (h + d) // 2
+            else:
+                pos = h - (h + d) // 2
+            forced.append(p.vertices[pos])
+            positions.add(pos)
         if positions:
             classes.append(LEAFED)
             offsets += (min(positions), h - max(positions))
-        else:
-            classes.append(_COUNT_CLASS[counts[i]])
-            offsets += (1, 1)
-        if classes[-1] != EMPTY:
             anchors += (2 * i, 2 * i + 1)
-        elif h >= 2:
-            targets |= 1 << i
-    shift = len(classes)
+        else:
+            classes.append(EMPTY)
+            offsets += (1, 1)
+            counts.append((i, 0))
+            if h >= 2:
+                targets |= 1 << i
     for j, v in enumerate(prep.open_branch):
         if v not in st:
-            targets |= 1 << (shift + j)
+            targets |= 1 << (len(classes) + j)
+    zero = GuessContext(chosen, tuple(counts))
     return AppliedGuess(
-        ctx, tuple(forced), tuple(classes), tuple(offsets), targets, tuple(anchors)
+        zero, tuple(forced), tuple(classes), tuple(offsets), targets, tuple(anchors)
+    )
+
+
+def apply_guess(prep: PreparedInstance, ctx: GuessContext) -> AppliedGuess:
+    """Lay a guess's counts over its subset's record: a segment counted
+    above 0 turns single or pair, stops being a target and adds anchors."""
+    record = ctx.record or _subset_record(prep, ctx.chosen)
+    classes = list(record.classes)
+    targets = record.targets
+    anchors = list(record.anchors)
+    for i, c in ctx.interior_counts:
+        if c:
+            classes[i] = _COUNT_CLASS[c]
+            targets &= ~(1 << i)
+            anchors += (2 * i, 2 * i + 1)
+    anchors.sort()
+    return AppliedGuess(
+        ctx, record.forced, tuple(classes), record.offsets, targets, tuple(anchors)
     )
 
 
@@ -583,42 +584,41 @@ def _effective_items(
 
     Guess order takes branch subsets by size then numeric pattern, and
     within a subset the interior counts by total then lexicographically;
-    the yielded ``seq`` is that order's sort key.  A segment with a chosen
-    endpoint gets no count: neither :func:`apply_guess` nor
-    :func:`candidate_size` would read it, so guesses differing only there
-    would be the same guess.  A segment of length h gets only the counts
-    its h - 1 interior vertices can hold, at most two.
+    the yielded ``seq`` is that order's sort key.  A counted segment of
+    length h gets the counts 0 to min(2, h - 1) its interior can hold.
 
-    A subset fixes a base size (leaves, chosen vertices, pinned segments),
-    and each of its guesses adds its count total.  A heap keyed by
-    ``(size, subset size, pattern)`` holds one entry per subset, its next
-    count total; popping it yields that total's count tuples and pushes
-    the next total.  Subsets of size p enter the heap only when its
-    smallest size reaches ``leaf_count + p``, the least size any of them
-    can have, so memory stays bounded by the subsets opened so far.  An
-    entry keeps only the chosen vertices; the segments are worked out
-    again when it is popped.
+    A heap keyed by ``(size, subset size, pattern)`` holds one entry per
+    subset, for its next count total; the size, the subset's base size plus
+    that total, is the one yielded.  Popping an entry yields the total's
+    count tuples and pushes the next total.  Subsets of size p enter the
+    heap only when its smallest size reaches ``leaf_count + p``, the least
+    any of them can have, so memory stays bounded by the subsets opened so
+    far.  The subset's record is built at its first pop and kept in its
+    entry, and each of its guesses carries it.
     """
     nb = len(prep.open_branch)
-    heap: list[tuple[int, int, int, int, tuple[int, ...]]] = []
+    heap: list[tuple] = []
     layer = 0
     while True:
         while layer <= nb and (not heap or heap[0][0] >= prep.leaf_count + layer):
             for bits in itertools.combinations(range(nb), layer):
                 chosen = tuple(prep.open_branch[b] for b in bits)
-                base, _free, _caps = _subset_shape(prep, chosen)
                 mask = sum(1 << b for b in bits)
-                heapq.heappush(heap, (base, layer, mask, 0, chosen))
+                entry = (_base_size(prep, chosen), layer, mask, 0, chosen, None)
+                heapq.heappush(heap, entry)
             layer += 1
         if not heap:
             return
-        size, popcount, mask, total, chosen = heapq.heappop(heap)
-        _base, free, caps = _subset_shape(prep, chosen)
+        size, popcount, mask, total, chosen, record = heapq.heappop(heap)
+        if record is None:
+            record = _subset_record(prep, chosen)
+        free = [i for i, _c in record.ctx.interior_counts]
+        caps = tuple(min(2, prep.h[i] - 1) for i in free)
         for counts in _count_tuples(caps, total):
-            ctx = GuessContext(chosen, tuple(zip(free, counts)))
-            yield candidate_size(prep, ctx), (popcount, mask, total, counts), ctx
+            ctx = GuessContext(chosen, tuple(zip(free, counts)), record)
+            yield size, (popcount, mask, total, counts), ctx
         if total < sum(caps):
-            heapq.heappush(heap, (size + 1, popcount, mask, total + 1, chosen))
+            heapq.heappush(heap, (size + 1, popcount, mask, total + 1, chosen, record))
 
 
 # where a guess ended, each counted in ``SolveResult.stats`` under its name
@@ -665,11 +665,9 @@ def _solve_guesses(
     best_witness: tuple[int, ...] | None = None
     min_exhausted: int | None = None
     nodes_total = vars_max = rows_max = 0
-    generated = 0
     outcomes = dict.fromkeys(OUTCOMES, 0)
     for size, _seq, ctx in _effective_items(prep):
         kind, nodes, model, witness = _process_guess(prep, ctx, node_budget)
-        generated += 1
         nodes_total += nodes
         outcomes[kind] += 1
         if model is not None:
@@ -686,7 +684,7 @@ def _solve_guesses(
     if best is None or (min_exhausted is not None and min_exhausted < best):
         status = UNKNOWN
     stats = {
-        "guesses_generated": generated,
+        "guesses_generated": sum(outcomes.values()),
         "ilp_nodes": nodes_total,
         # the largest model solved
         "ilp_vars_max": vars_max,
@@ -706,9 +704,10 @@ def solve_fpt(
 
     ``k`` only affects the reported yes/no answer.  ``node_budget`` caps
     the search effort per guess; when it bites, the status degrades to
-    unknown instead of risking a wrong optimum.  A witness that fails its
-    check, on the reduced graph or on ``g``, raises
-    :class:`~geodetic.graph.VerificationError`.
+    unknown and ``optimum`` is None.  A witness found even so is still
+    verified and returned, as an upper bound: it answers yes when it has
+    at most k vertices.  A witness that fails its check, on the reduced
+    graph or on ``g``, raises :class:`~geodetic.graph.VerificationError`.
     """
     if g.n == 0:
         raise GraphError("empty graph has no geodetic set")
@@ -744,17 +743,18 @@ def solve_fpt(
             answer = False
         return SolveResult(UNKNOWN, None, None, answer, algorithm, stats)
     witness = lift_witness(red.trace, witness_r)
-    optimum = size_r + red.k_decrease
-    if len(witness) != optimum:
+    size = size_r + red.k_decrease
+    if len(witness) != size:
         raise VerificationError(
-            f"lifted witness has {len(witness)} vertices, optimum is {optimum}"
+            f"lifted witness has {len(witness)} vertices, optimum is {size}"
         )
     if not is_geodetic(g, witness):
         raise VerificationError(f"lifted witness {witness} is not geodetic")
     answer: bool | None = None
     if k is not None:
-        if optimum <= k:
+        if len(witness) <= k:
             answer = True
         elif status == OPTIMAL:
             answer = False
+    optimum = size if status == OPTIMAL else None
     return SolveResult(status, optimum, witness, answer, algorithm, stats)

@@ -1,9 +1,12 @@
 """Tests for the command-line front end."""
 
+import random
+
 import pytest
 
 from geodetic import fpt
 from geodetic.cli import build_parser, main
+from geodetic.generators import random_fen_graph
 from geodetic.graph import Graph, feedback_edge_number, format_graph, parse_graph
 
 from conftest import complete_graph, cycle_graph, path_graph
@@ -58,6 +61,25 @@ def test_solve_cross_check_skips_an_unknown_side(tmp_path, capsys):
     assert "status unknown" in out
     assert "cross-check skipped" in out
     assert "cross-check ok" not in out
+
+
+def test_unknown_component_prints_no_optimum(tmp_path, capsys):
+    # two copies of a draw whose budgeted solve finds a 7-vertex witness
+    # while the optimum is 6: each component line reports no optimum
+    g = random_fen_graph(14, 6, random.Random(4))
+    twice = Graph(28, [*g.edges(), *((u + 14, v + 14) for u, v in g.edges())])
+    path = write_graph(tmp_path, "twice.graph", twice)
+    code, out = run(
+        capsys,
+        ["solve", path, "--per-component", "--algo", "fpt", "--node-budget", "1",
+         "--deterministic"],
+    )
+    assert code == 3
+    lines = out.splitlines()
+    assert "component 0 n 14 algorithm fpt:guess-ilp status unknown optimum -" in lines
+    assert "component 1 n 14 algorithm fpt:guess-ilp status unknown optimum -" in lines
+    assert "status unknown" in lines
+    assert not [ln for ln in lines if ln.startswith(("optimum", "witness"))]
 
 
 def test_solve_threshold_answers(tmp_path, capsys):

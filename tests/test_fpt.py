@@ -1,12 +1,13 @@
 """Tests for the guess-and-check exact solver."""
 
 import functools
+import json
 import os
 import random
 import re
 import subprocess
 import sys
-from itertools import permutations, product
+from itertools import islice, permutations, product
 from pathlib import Path
 
 import pytest
@@ -298,6 +299,23 @@ def test_guess_record_matches_grafted_reference():
     assert guesses_seen > 3_000 and deep_seen > 5_000, (guesses_seen, deep_seen)
 
 
+def test_guesses_without_a_subset_record_decide_alike():
+    # a plain GuessContext carries no subset record, so apply_guess and
+    # candidate_size work out what its branch subset forces themselves
+    seen = counted = 0
+    for prep in seeded_kernels(41, 30, 2):
+        for size, _seq, ctx in islice(_effective_items(prep), 400):
+            plain = fpt.GuessContext(ctx.chosen, ctx.interior_counts)
+            assert plain.record is None and ctx.record is not None
+            assert plain == ctx
+            assert apply_guess(prep, plain) == apply_guess(prep, ctx)
+            assert candidate_size(prep, plain) == candidate_size(prep, ctx) == size
+            seen += 1
+            counted += any(c for _i, c in ctx.interior_counts)
+    # 5727 guesses on 30 kernels, 5235 of them with a count above 0
+    assert seen > 5_000 and counted > 4_000, (seen, counted)
+
+
 def test_guess_leaves_do_not_change_branch_distances():
     # forcing a vertex stands for a pendant leaf there, which must leave the
     # branch distances that emit_ilp reads as they are
@@ -423,11 +441,14 @@ def test_matches_oracle_at_fen_10_to_14():
 
 def test_budget_exhaustion_degrades_to_unknown():
     # its guesses need 69 search nodes in all; at one node a guess of size
-    # 6 runs out of budget before one of size 7 is found feasible, so 7 is
-    # only an upper bound
+    # 6 runs out of budget before one of size 7 is found feasible, so the
+    # 7-vertex witness is only an upper bound and no optimum is reported
     g = random_fen_graph(14, 6, random.Random(4))
     res = solve_fpt(g, node_budget=1)
-    assert (res.status, res.optimum) == (UNKNOWN, 7)
+    assert (res.status, res.optimum) == (UNKNOWN, None)
+    assert len(res.witness) == 7 and is_geodetic(g, res.witness)
+    assert solve_fpt(g, 7, node_budget=1).answer is True
+    assert solve_fpt(g, 6, node_budget=1).answer is None
     assert res.stats["ilp_budget_exhausted"] > 0
     # a generous budget restores the exact answer
     res = solve_fpt(g, node_budget=100000)
@@ -591,3 +612,21 @@ def test_deterministic_across_runs(rng):
         b.witness,
         b.algorithm,
     )
+
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "fen_golden.json"
+
+
+def test_matches_golden_draws():
+    # 120 draws, fen 2-9 and n 6-22: with r = random.Random(seed),
+    # n = r.randint(max(6, fen + 3), 22), then random_fen_graph(n, fen, r).
+    # Their status, optimum and witness are pinned as first solved, and
+    # checked against min_geodetic_brute when they were recorded.
+    draws = json.loads(GOLDEN.read_text())
+    assert len(draws) == 120
+    for draw in draws:
+        g = Graph(draw["n"], [tuple(e) for e in draw["edges"]])
+        assert g.m - g.n + 1 == draw["fen"]
+        res = solve_fpt(g)
+        got = (res.status, res.optimum, list(res.witness))
+        assert got == (draw["status"], draw["optimum"], draw["witness"]), draw["seed"]
