@@ -387,11 +387,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     # a failed certificate is an error too: exit 1 would report a decision no
     except (
-        GraphError, GraphFormatError, GridTilingError, GadgetError, VerificationError
+        GraphError, GraphFormatError, GridTilingError, GadgetError, VerificationError,
+        OSError,
     ) as exc:
-        print(f"error {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
         print(f"error {exc}", file=sys.stderr)
         return 2
 

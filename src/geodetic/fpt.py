@@ -13,9 +13,10 @@ at the lower corner of the placement ranges; a pair shut there is shut
 for every placement.  The guess is refuted when a target lies on no
 open pair's route (``cover``) or a fixed placement deeper than one step has
 no open pair leaving its end (``margin``).  Otherwise an open pair of two
-fixed placements claims its route outright, and the program is built over
-the open pairs with a placed end.  Guesses are processed by candidate size,
-so the first feasible one realizes the optimum of the reduced graph.
+fixed placements claims its route outright, and the program holds a 0/1
+gate per open pair with a placed end and the placements of the single and
+pair segments, nothing else.  Guesses are processed by candidate size, so
+the first feasible one realizes the optimum of the reduced graph.
 """
 
 from __future__ import annotations
@@ -129,12 +130,12 @@ class AppliedGuess:
     segment's class.  ``offsets[a]`` is anchor a's offset at the lower
     corner of the placement ranges: on a leafed segment, the fixed distance
     from that end to the nearest leafed position (a leaf of the fixpoint, a
-    chosen end or a pin); on any other, 1, the least its ``>= 1`` row
-    allows.  ``targets`` is the bitmask of what must lie on a claimed route:
-    bit i for an empty segment i with h >= 2, and bit ``len(paths) + j``
-    for ``open_branch[j]`` unchosen.  ``anchors`` lists, in increasing
-    order, the anchors of the segments that are not empty: the ends
-    between which routes can be claimed.
+    chosen end or a pin); on any other, 1, the least its placement's
+    domain allows.  ``targets`` is the bitmask of what must lie on a
+    claimed route: bit i for an empty segment i with h >= 2, and bit
+    ``len(paths) + j`` for ``open_branch[j]`` unchosen.  ``anchors`` lists,
+    in increasing order, the anchors of the segments that are not empty:
+    the ends between which routes can be claimed.
     """
 
     ctx: GuessContext
@@ -394,21 +395,16 @@ def emit_ilp(
     anchor with the other end of its own segment.  Each pair's verdict and
     route mask come from the ``open_rows`` rows :func:`refute_guess` reads.
     A pair shut at the corner is shut for every placement, and root
-    propagation would pin its gate at 0, so it gets no gate, no helper
-    flags and no rows.
+    propagation would pin its gate at 0, so it gets no gate and no rows.
 
     Placements of leafed segments are fixed: they are the constants
     ``applied.offsets`` and fold into the rows.  A pair of two fixed ends
     open at the corner is open at its real placement, so its route is
     claimed outright: it gets no gate, its targets no covering row and its
-    first anchor no margin row.  Fixed anchors get no margin flag; one
-    deeper than one step keeps only ``leaving >= 1`` over its gated pairs.
-    A solution, with those gates at 1 and each fixed anchor's flag at 1
-    when its offset is at most 1, solves the full program.  Variables, in
-    id order: the gates, the margin flags of the placed anchors, route
-    comparison helpers, and last the two placements of every single and
-    pair segment.  Returns the model and the id of each placement variable
-    by anchor.
+    first anchor no margin row.  Variables, in id order: the gates, then
+    the two placements of every single and pair segment, each in
+    ``[1, h]``.  Returns the model and the id of each placement variable by
+    anchor.
     """
     end, hs, gaps = prep.end, prep.h, prep.gaps
     classes, offsets, anchors = applied.classes, applied.offsets, applied.anchors
@@ -434,17 +430,11 @@ def emit_ilp(
         else:
             pairs.append((a, b, entry))
     gates = [model.add_variable(0, 1) for _ in pairs]
-    leaving: dict[int, list[tuple[int, int]]] = {a: [] for a in anchors}
+    leaving: dict[int, list[int]] = {a: [] for a in anchors}
     for (a, _b, _entry), gate in zip(pairs, gates):
-        leaving[a].append((gate, 1))
-    margin_ok = {a: model.add_variable(0, 1) for a in anchors if a not in fixed}
-    helper = {
-        (a, b): tuple(model.add_variable(0, 1) for _ in range(3))
-        for a, b, _entry in pairs
-        if a >> 1 != b >> 1
-    }
+        leaving[a].append(gate)
     placed = {
-        a: model.add_variable(0, hs[a >> 1]) for a in anchors if a not in fixed
+        a: model.add_variable(1, hs[a >> 1]) for a in anchors if a not in fixed
     }
     # twice each anchor's offset, as terms and a constant
     twice = {
@@ -452,13 +442,11 @@ def emit_ilp(
         for a in anchors
     }
 
-    # placement ranges and interior spacing per open segment, whose two
-    # anchors follow each other in placed
+    # interior spacing per open segment, whose two anchors follow each other
+    # in placed
     for a in list(placed)[::2]:
         h, d = hs[a >> 1], prep.d[a >> 1]
         xl, xr = placed[a], placed[a + 1]
-        model.add_constraint([(xl, 1)], ">=", 1)
-        model.add_constraint([(xr, 1)], ">=", 1)
         if classes[a >> 1] == SINGLE:
             model.add_constraint([(xl, 1), (xr, 1)], "<=", h)
             model.add_constraint([(xl, 1), (xr, 1)], ">=", h)
@@ -468,12 +456,11 @@ def emit_ilp(
 
     # an ordered cross pair may claim its through route only if that route
     # is no longer than any of the three detours around a segment end: each
-    # helper flag lets its gap, the through route minus one detour, be
-    # positive only while the flag is 0.  Within one segment, the outside route
-    # between the two placements may be claimed only if it is no longer
-    # than the inside stretch.  Every target (see AppliedGuess) off the
-    # claimed routes must lie on a gated one: one covering row per target,
-    # in bit order.
+    # gap, the through route minus one detour, may be positive only while
+    # the gate is 0.  Within one segment, the outside route between the two
+    # placements may be claimed only if it is no longer than the inside
+    # stretch.  Every target (see AppliedGuess) off the claimed routes must
+    # lie on a gated one: one covering row per target, in bit order.
     targets = applied.targets & ~claimed
     cover = {1 << t: [] for t in range(targets.bit_length()) if targets >> t & 1}
     for (a, b, entry), gate in zip(pairs, gates):
@@ -487,27 +474,25 @@ def emit_ilp(
             model.add_constraint(row, "<=", big + hs[ia] - prep.d[ia])
         else:
             g1, g2, g3 = gaps[a * len(end) + b]
-            f1, f2, f3 = helper[(a, b)]
             terms_a, const_a = twice[a]
             terms_b, const_b = twice[b]
-            model.add_constraint(terms_b + [(f1, big)], "<=", big - g1 - const_b)
-            model.add_constraint(terms_a + [(f2, big)], "<=", big - g2 - const_a)
+            model.add_constraint(terms_b + [(gate, big)], "<=", big - g1 - const_b)
+            model.add_constraint(terms_a + [(gate, big)], "<=", big - g2 - const_a)
             model.add_constraint(
-                terms_a + terms_b + [(f3, big)], "<=", big - g3 - const_a - const_b
+                terms_a + terms_b + [(gate, big)], "<=", big - g3 - const_a - const_b
             )
-            model.add_constraint([(f1, 1), (f2, 1), (f3, 1), (gate, -3)], ">=", 0)
     for terms in cover.values():
         model.add_constraint(terms, ">=", 1)
 
     # a placement deeper than one step from its segment end needs a claimed
-    # route leaving through that end
+    # route leaving through that end: x - h * (leaving gates) <= 1, which
+    # one gate at 1 makes hold for every x up to h
     for a in anchors:
         if a in placed:
-            flag = margin_ok[a]
-            model.add_constraint([(placed[a], 1), (flag, big)], "<=", big + 1)
-            model.add_constraint([(flag, 1)] + leaving[a], ">=", 1)
+            row = [(placed[a], 1)] + [(gate, -hs[a >> 1]) for gate in leaving[a]]
+            model.add_constraint(row, "<=", 1)
         elif offsets[a] > 1 and a not in settled:
-            model.add_constraint(leaving[a], ">=", 1)
+            model.add_constraint([(gate, 1) for gate in leaving[a]], ">=", 1)
     return model, placed
 
 

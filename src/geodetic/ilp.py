@@ -86,7 +86,10 @@ class IlpResult:
 
 
 def solve(model: IlpModel, node_budget: int | None = None) -> IlpResult:
-    """Find any integral assignment satisfying every constraint."""
+    """Find any integral assignment satisfying every constraint.
+
+    ``node_budget`` caps the nodes that branch: a node where every row is
+    settled returns its solution, and is counted, whatever the budget."""
     rows = model.constraints
     lo = [a for a, _b in model.variables]
     hi = [b for _a, b in model.variables]
@@ -227,10 +230,10 @@ def solve(model: IlpModel, node_budget: int | None = None) -> IlpResult:
     state = "descend"
     while True:
         if state == "descend":
-            if node_budget is not None and nodes >= node_budget:
+            pick = next_var(stack[-1][4] if stack else 0)
+            if pick is not None and node_budget is not None and nodes >= node_budget:
                 return IlpResult(BUDGET_EXHAUSTED, None, nodes)
             nodes += 1
-            pick = next_var(stack[-1][4] if stack else 0)
             if pick is None:
                 for coeffs, rhs in rows:
                     if sum(c * lo[v] for v, c in coeffs) > rhs:

@@ -10,12 +10,13 @@ fixpoint graph, hung a leaf on every forced vertex and read the offsets,
 targets and solution off that grafted copy.  ``reference_cross_shut``
 compares the through route with the three detours one by one, and
 ``pairwise_refute_guess`` looks each ordered anchor pair up on its own.
-``drop_shut_pairs`` and ``drop_fixed_pairs`` take the full model to the
-compact one in two steps.  They are kept here as the references for
-:func:`geodetic.fpt._effective_items`, :func:`geodetic.fpt.candidate_size`,
-:func:`geodetic.fpt.emit_ilp`, :func:`geodetic.fpt.apply_guess`,
-:func:`geodetic.fpt.reconstruct`, the shut test of
-:class:`geodetic.fpt._OpenRow` and :func:`geodetic.fpt.refute_guess`.
+``drop_shut_pairs``, ``drop_fixed_pairs`` and ``project_flags`` take the
+full model to the compact one in three steps.  They are kept here as the
+references for :func:`geodetic.fpt._effective_items`,
+:func:`geodetic.fpt.candidate_size`, :func:`geodetic.fpt.emit_ilp`,
+:func:`geodetic.fpt.apply_guess`, :func:`geodetic.fpt.reconstruct`, the
+shut test of :class:`geodetic.fpt._OpenRow` and
+:func:`geodetic.fpt.refute_guess`.
 """
 
 import collections
@@ -365,8 +366,8 @@ def drop_shut_pairs(prep, applied, model, placed):
     }
     dropped = set(shut)
     # a gate's helper flags share the row f1 + f2 + f3 - 3 * gate >= 0
-    for coeffs, _rhs in model.constraints:
-        if any(v in shut and c == 3 for v, c in coeffs):
+    for coeffs, rhs in model.constraints:
+        if rhs == 0 and any(v in shut and c == 3 for v, c in coeffs):
             dropped.update(v for v, _c in coeffs)
     renumber = {}
     variables = []
@@ -432,6 +433,63 @@ def fix_variables(model, placed, values):
                 continue
         rows.append((tuple((renumber[v], c) for v, c in kept), rhs))
     return IlpModel(variables, rows), {a: renumber[v] for a, v in placed.items()}
+
+
+def flag_roles(model, placed):
+    """Reference: the helper and margin flags of a model of
+    :func:`drop_shut_pairs` or :func:`drop_fixed_pairs`, told apart by their
+    rows.  A gate's three helper flags share the row ``f1 + f2 + f3 - 3 *
+    gate >= 0``; a placed anchor's margin flag sits in ``x + big * flag <=
+    big + 1`` with its placement x.  Returns the gate of each helper flag
+    and the placement of each margin flag, by flag id."""
+    xs = set(placed.values())
+    helper, margin = {}, {}
+    for coeffs, rhs in model.constraints:
+        if rhs == 0 and any(c == 3 for _v, c in coeffs):
+            gate = next(v for v, c in coeffs if c == 3)
+            helper.update((v, gate) for v, c in coeffs if c == -1)
+        elif len(coeffs) == 2:
+            (x, one), (flag, big) = sorted(coeffs, key=lambda t: t[0] not in xs)
+            if x in xs and flag not in xs and one == 1 and rhs == big + 1:
+                margin[flag] = x
+    return helper, margin
+
+
+def project_flags(model, placed):
+    """Reference: the model and placement ids of :func:`drop_fixed_pairs`
+    with every flag projected out.  A helper flag gives way to its gate in
+    its detour row, and the row linking the three flags to the gate goes.
+    A margin flag's rows ``x + big * flag <= big + 1`` and ``flag + leaving
+    >= 1`` become ``x - h * leaving <= 1``, h the upper bound of x.  The rows
+    ``x >= 1`` of the placements become their lower bounds.  The remaining
+    variables keep their order.  Also returns how many flags went."""
+    helper, margin = flag_roles(model, placed)
+    xs = set(placed.values())
+    renumber = {}
+    variables = []
+    for v, (lo, hi) in enumerate(model.variables):
+        if v not in helper and v not in margin:
+            renumber[v] = len(variables)
+            variables.append((1, hi) if v in xs else (lo, hi))
+    rows = []
+    for coeffs, rhs in model.constraints:
+        flags = [v for v, _c in coeffs if v in margin]
+        linking = rhs == 0 and any(c == 3 for _v, c in coeffs)
+        at_least_one = rhs == -1 and len(coeffs) == 1 and coeffs[0][0] in xs
+        if linking or at_least_one or (flags and rhs != -1):
+            continue
+        if flags:
+            # flag + leaving >= 1, stored as -flag - leaving <= -1
+            x = margin[flags[0]]
+            h = model.variables[x][1]
+            coeffs = [(x, 1)] + [(v, h * c) for v, c in coeffs if v != flags[0]]
+            rhs = 1
+        else:
+            coeffs = [(helper.get(v, v), c) for v, c in coeffs]
+        rows.append((tuple(sorted((renumber[v], c) for v, c in coeffs)), rhs))
+    compact = IlpModel(variables, rows)
+    compact_placed = {a: renumber[v] for a, v in placed.items()}
+    return compact, compact_placed, len(helper) + len(margin)
 
 
 def reference_gate_pairs(anchors):
@@ -567,8 +625,9 @@ def test_stream_matches_eager_reference():
 def test_emit_ilp_matches_pairwise_reference():
     # every guess the solver applies, up to the first feasible one: the
     # model is the full reference model less the pairs shut at the corner,
-    # with the routes between fixed placements claimed outright
-    models = dropped = dropped_vars = claimed = empty = 0
+    # with the routes between fixed placements claimed outright and every
+    # flag projected out
+    models = dropped = dropped_vars = claimed = flags = empty = 0
     verdicts = [0, 0]
     for prep in seeded_kernels(32, 200, 0):
         for _size, _seq, ctx in _effective_items(prep):
@@ -578,14 +637,18 @@ def test_emit_ilp_matches_pairwise_reference():
             open_model, open_placed, shut = drop_shut_pairs(
                 prep, applied, full, full_placed
             )
-            compact, compact_placed, fixed = drop_fixed_pairs(
+            fixed_model, fixed_placed, fixed = drop_fixed_pairs(
                 prep, applied, open_model, open_placed
+            )
+            compact, compact_placed, projected = project_flags(
+                fixed_model, fixed_placed
             )
             assert (model, placed) == (compact, compact_placed)
             models += 1
             dropped_vars += len(full.variables) - len(model.variables)
             dropped += shut
             claimed += len(fixed)
+            flags += projected
             empty += not model.variables
             res = solve_ilp(model)
             if res.status == FEASIBLE:
@@ -610,18 +673,21 @@ def test_emit_ilp_matches_pairwise_reference():
     assert models > 2_000
     assert min(verdicts) > 20
     # models lose shut pairs, and some of those pairs helper flags too;
-    # claimed pairs and fixed margin flags go as well, and guesses with no
-    # placed segment build an empty model
-    assert dropped > 80 * models and dropped_vars > dropped + claimed, (
-        models, dropped, dropped_vars, claimed
+    # claimed pairs and fixed margin flags go as well, the open pairs'
+    # helper flags and the placed anchors' margin flags are projected out,
+    # and guesses with no placed segment build an empty model
+    assert dropped > 80 * models and dropped_vars > dropped + claimed + flags, (
+        models, dropped, dropped_vars, claimed, flags
     )
     assert claimed > 50 * models and empty > 1_000, (models, claimed, empty)
+    assert flags > 2 * models, (models, flags)
 
 
 def test_claimed_routes_extend_to_solutions_of_the_open_model():
     # every feasible model the solver solves on the same kernels: its
-    # solution, with each claimed gate at 1 and each fixed anchor's margin
-    # flag at 1 when its offset is at most 1, else at 0, satisfies every
+    # solution, with each claimed gate at 1, each fixed anchor's margin flag
+    # at 1 when its offset is at most 1, else at 0, each helper flag at its
+    # gate and each placed anchor's margin flag at [x <= 1], satisfies every
     # row of the model before the routes between fixed placements went
     checked = flags_off = 0
     for prep in seeded_kernels(32, 200, 0):
@@ -638,11 +704,17 @@ def test_claimed_routes_extend_to_solutions_of_the_open_model():
                 prep, applied, full, full_placed
             )
             fixed = drop_fixed_pairs(prep, applied, open_model, open_placed)[2]
-            solved = iter(res.assignment[v] for v in range(len(model.variables)))
-            value = [
-                fixed[v] if v in fixed else next(solved)
+            helper, margin = flag_roles(open_model, open_placed)
+            kept = [
+                v
                 for v in range(len(open_model.variables))
+                if v not in fixed and v not in helper and v not in margin
             ]
+            assert len(kept) == len(model.variables)
+            value = dict(fixed)
+            value.update(zip(kept, (res.assignment[v] for v in range(len(kept)))))
+            value.update((flag, value[gate]) for flag, gate in helper.items())
+            value.update((flag, int(value[x] <= 1)) for flag, x in margin.items())
             for coeffs, rhs in open_model.constraints:
                 assert sum(c * value[v] for v, c in coeffs) <= rhs, (ctx, coeffs)
             checked += 1
@@ -653,8 +725,9 @@ def test_claimed_routes_extend_to_solutions_of_the_open_model():
 
 def test_compact_model_searches_like_the_full_model():
     # every guess the refutation lets through, up to the first feasible
-    # one: dropping the shut pairs keeps the status, the placements and the
-    # solution, and only ever saves search nodes
+    # one: dropping the shut pairs, claiming the routes between fixed
+    # placements and projecting the flags out keep the status, the
+    # placements and the solution, and only ever save search nodes
     solved = fewer = 0
     for prep in seeded_kernels(32, 200, 0):
         for _size, _seq, ctx in _effective_items(prep):
@@ -678,6 +751,37 @@ def test_compact_model_searches_like_the_full_model():
             prep, applied, full.assignment, full_placed
         )
     assert solved >= 200 and fewer >= 1, (solved, fewer)
+
+
+def test_models_hold_only_gates_and_placements():
+    # every model the solver builds on stretched kernels, up to the first
+    # feasible one: a 0/1 gate per open pair with a placed end, then the
+    # placements of the single and pair segments, each in [1, h]
+    models = placements = 0
+    for prep in seeded_kernels(37, 60, 2):
+        for _size, _seq, ctx in _effective_items(prep):
+            applied = apply_guess(prep, ctx)
+            if refute_guess(prep, applied) is not None:
+                continue
+            model, placed = emit_ilp(prep, applied)
+            offsets, anchors = applied.offsets, applied.anchors
+            fixed = {a for a in anchors if applied.classes[a >> 1] == LEAFED}
+            gates = sum(
+                1
+                for a, b in reference_gate_pairs(anchors)
+                if not {a, b} <= fixed
+                and not reference_pair_shut(prep, a, b, offsets[a], offsets[b])
+            )
+            assert sorted(placed) == [a for a in anchors if a not in fixed]
+            assert list(placed.values()) == list(range(gates, len(model.variables)))
+            assert model.variables == [(0, 1)] * gates + [
+                (1, prep.h[a >> 1]) for a in placed
+            ]
+            models += 1
+            placements += len(placed)
+            if solve_ilp(model).status == FEASIBLE:
+                break
+    assert models > 150 and placements > 4 * models, (models, placements)
 
 
 def test_refuted_guesses_are_infeasible_at_the_ilp_root():

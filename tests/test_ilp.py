@@ -118,10 +118,11 @@ def reference_solve(model, node_budget=None):
     state = "descend"
     while True:
         if state == "descend":
-            if node_budget is not None and nodes >= node_budget:
+            pick = next_var()
+            # only a node that branches spends budget
+            if pick is not None and node_budget is not None and nodes >= node_budget:
                 return IlpResult(BUDGET_EXHAUSTED, None, nodes)
             nodes += 1
-            pick = next_var()
             if pick is None:
                 assignment = {i: lo[i] for i in ids}
                 for coeffs, rhs in rows:
@@ -214,7 +215,7 @@ def random_models(rng: random.Random) -> Iterator[tuple[IlpModel, list[Triple]]]
         yield m, raw
 
 
-BUDGETS = (1, 30, None)
+BUDGETS = (0, 1, 30, None)
 
 
 def brute_force_feasible(model: IlpModel, raw: list[Triple]) -> bool:
@@ -338,6 +339,21 @@ def test_node_budget():
     assert result.status == BUDGET_EXHAUSTED
     assert result.nodes == 2
     assert solve(m, node_budget=10**6).status == FEASIBLE
+
+
+def test_zero_budget_answers_a_model_settled_at_the_root():
+    # a node that does not branch spends no budget: an empty model, and one
+    # whose root propagation settles every row, are feasible at node 1
+    m = fresh_model()
+    assert solve(m, node_budget=0) == IlpResult(FEASIBLE, {}, 1)
+    x = m.add_variable(0, 3)
+    m.add_constraint([(x, 1)], ">=", 3)
+    assert solve(m, node_budget=0) == IlpResult(FEASIBLE, {x: 3}, 1)
+    # a row left open must branch, which a zero budget forbids
+    y, z = m.add_variable(0, 1), m.add_variable(0, 1)
+    m.add_constraint([(y, 1), (z, 1)], ">=", 1)
+    assert solve(m, node_budget=0) == IlpResult(BUDGET_EXHAUSTED, None, 0)
+    assert solve(m, node_budget=1) == IlpResult(FEASIBLE, {x: 3, y: 1, z: 0}, 2)
 
 
 def test_rejects_bad_model():
