@@ -401,10 +401,11 @@ def emit_ilp(
     ``applied.offsets`` and fold into the rows.  A pair of two fixed ends
     open at the corner is open at its real placement, so its route is
     claimed outright: it gets no gate, its targets no covering row and its
-    first anchor no margin row.  Variables, in id order: the gates, then
-    the two placements of every single and pair segment, each in
-    ``[1, h]``.  Returns the model and the id of each placement variable by
-    anchor.
+    first anchor no margin row.  A cross pair gets a row for each detour
+    that some placement in range makes shorter than its through route.
+    Variables, in id order: the gates, then the two placements of every
+    single and pair segment, each in ``[1, h]``.  Returns the model and the
+    id of each placement variable by anchor.
     """
     end, hs, gaps = prep.end, prep.h, prep.gaps
     classes, offsets, anchors = applied.classes, applied.offsets, applied.anchors
@@ -436,11 +437,6 @@ def emit_ilp(
     placed = {
         a: model.add_variable(1, hs[a >> 1]) for a in anchors if a not in fixed
     }
-    # twice each anchor's offset, as terms and a constant
-    twice = {
-        a: ([(placed[a], 2)], 0) if a in placed else ([], 2 * offsets[a])
-        for a in anchors
-    }
 
     # interior spacing per open segment, whose two anchors follow each other
     # in placed
@@ -457,10 +453,13 @@ def emit_ilp(
     # an ordered cross pair may claim its through route only if that route
     # is no longer than any of the three detours around a segment end: each
     # gap, the through route minus one detour, may be positive only while
-    # the gate is 0.  Within one segment, the outside route between the two
-    # placements may be claimed only if it is no longer than the inside
-    # stretch.  Every target (see AppliedGuess) off the claimed routes must
-    # lie on a gated one: one covering row per target, in bit order.
+    # the gate is 0.  A gap grows by twice the offset of each end it reads,
+    # so its row is built only if some placement in range makes it
+    # positive; any other such row holds for every value.  Within one
+    # segment, the outside route between the two placements may be claimed
+    # only if it is no longer than the inside stretch.  Every target (see
+    # AppliedGuess) off the claimed routes must lie on a gated one: one
+    # covering row per target, in bit order.
     targets = applied.targets & ~claimed
     cover = {1 << t: [] for t in range(targets.bit_length()) if targets >> t & 1}
     for (a, b, entry), gate in zip(pairs, gates):
@@ -474,13 +473,12 @@ def emit_ilp(
             model.add_constraint(row, "<=", big + hs[ia] - prep.d[ia])
         else:
             g1, g2, g3 = gaps[a * len(end) + b]
-            terms_a, const_a = twice[a]
-            terms_b, const_b = twice[b]
-            model.add_constraint(terms_b + [(gate, big)], "<=", big - g1 - const_b)
-            model.add_constraint(terms_a + [(gate, big)], "<=", big - g2 - const_a)
-            model.add_constraint(
-                terms_a + terms_b + [(gate, big)], "<=", big - g3 - const_a - const_b
-            )
+            for gap, ends in ((g1, (b,)), (g2, (a,)), (g3, (a, b))):
+                # with the gate at 1, the placed ends' terms are at most rhs
+                rhs = -gap - sum(2 * offsets[s] for s in ends if s not in placed)
+                if sum(2 * hs[s >> 1] for s in ends if s in placed) > rhs:
+                    terms = [(placed[s], 2) for s in ends if s in placed]
+                    model.add_constraint(terms + [(gate, big)], "<=", big + rhs)
     for terms in cover.values():
         model.add_constraint(terms, ">=", 1)
 

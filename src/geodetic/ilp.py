@@ -5,22 +5,16 @@ floating point anywhere, so answers on the tiny models built here are exact
 by construction.  A model stores each row in ``<=`` form when it is added,
 duplicate terms merged, so the search reads the rows as they are.
 
-The search keeps each row's minimum and maximum activity, the least and
-the greatest value its left side can take within the current bounds.  Every
-bound change goes on a trail and shifts the activities of the variable's
-rows by the change; backtracking pops the trail and shifts them back.  So
-propagating a row reads its minimum activity instead of summing the row,
-and a row whose activity spread fits in its slack is passed over at once.
-
-Each search node branches on the first row, in model order, that some
-completion of the current bounds could still violate: its maximum activity
-exceeds its right side.  Bounds only tighten on descent, so a row settled
-at a node stays settled below it, and a child resumes that scan at the row
-where its parent's scan stopped.  The node splits that row's unfixed
-variable of smallest id and tries first the half that helps the row hold:
-the lower half where the variable raises the row's left side, the upper
-half otherwise.  Once no row can be violated, the lower bounds are a
-solution.  Runs are deterministic.
+Each search node owns its lists of lower and upper bounds, copied when its
+parent branched, so backtracking undoes nothing, and propagation sums each
+queued row afresh.  A node branches on the first row, in model order, that
+some completion of its bounds could still break.  Bounds only tighten on
+descent, so a child resumes that scan at the row where its parent's scan
+stopped.  The node splits that row's unfixed variable of smallest id and
+tries first the half that helps the row hold: the lower half where the
+variable raises the row's left side, the upper half otherwise.  Once no
+row can be broken, the lower bounds are a solution.  Runs are
+deterministic.
 """
 
 from __future__ import annotations
@@ -86,7 +80,9 @@ class IlpResult:
 
 
 def solve(model: IlpModel, node_budget: int | None = None) -> IlpResult:
-    """Find any integral assignment satisfying every constraint.
+    """Find any integral assignment satisfying every constraint.  The
+    solution is checked against every row; one that breaks a row raises
+    :class:`IlpError`.
 
     ``node_budget`` caps the nodes that branch: a node where every row is
     settled returns its solution, and is counted, whatever the budget."""
@@ -96,166 +92,91 @@ def solve(model: IlpModel, node_budget: int | None = None) -> IlpResult:
     for vid, (a, b) in enumerate(model.variables):
         if a > b:
             raise IlpError(f"variable {vid} has empty domain")
-
-    # each row's least and greatest left side within the bounds; a rise of
-    # lo[v] by one adds c to act_min of each row where v has a coefficient
-    # c > 0 and to act_max where c < 0, a rise of hi[v] the other way
-    rhs_of = [rhs for _coeffs, rhs in rows]
-    act_min: list[int] = []
-    act_max: list[int] = []
-    # each variable's rows, and its coefficient in each
     rows_of: list[list[int]] = [[] for _ in lo]
-    coeffs_of: list[list[int]] = [[] for _ in lo]
     for r, (coeffs, _rhs) in enumerate(rows):
-        least = most = 0
-        for v, c in coeffs:
+        for v, _c in coeffs:
             rows_of[v].append(r)
-            coeffs_of[v].append(c)
-            if c > 0:
-                least += c * lo[v]
-                most += c * hi[v]
-            else:
-                least += c * hi[v]
-                most += c * lo[v]
-        act_min.append(least)
-        act_max.append(most)
 
-    trail: list[tuple[int, int, int]] = []  # (var, 0=lo/1=hi, old value)
-
-    def shift(v: int, delta: int, rising: list[int], falling: list[int]) -> None:
-        """Move the activities of v's rows by a change of ``delta`` in one
-        bound of v: ``rising`` where v's coefficient is positive, else
-        ``falling``."""
-        for r, c in zip(rows_of[v], coeffs_of[v]):
-            if c > 0:
-                rising[r] += c * delta
-            else:
-                falling[r] += c * delta
-
-    def set_lo(v: int, val: int) -> None:
-        trail.append((v, 0, lo[v]))
-        shift(v, val - lo[v], act_min, act_max)
-        lo[v] = val
-
-    def set_hi(v: int, val: int) -> None:
-        trail.append((v, 1, hi[v]))
-        shift(v, val - hi[v], act_max, act_min)
-        hi[v] = val
-
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            v, which, old = trail.pop()
-            if which == 0:
-                shift(v, old - lo[v], act_min, act_max)
-                lo[v] = old
-            else:
-                shift(v, old - hi[v], act_max, act_min)
-                hi[v] = old
-
-    queue: deque[int] = deque()
-    queued = bytearray(len(rows))
-
-    def tighten(r: int) -> bool:
-        """Apply row r to the bounds once; False when it cannot hold.
-
-        The row's own tightenings leave its minimum activity unchanged, so
-        only the other rows of a tightened variable are queued again.  No
-        term can tighten when the whole activity spread fits in the slack.
-        """
-        slack = rhs_of[r] - act_min[r]
-        if slack < 0:
-            return False
-        if act_max[r] - act_min[r] <= slack:
-            return True
-        for v, c in rows[r][0]:
-            a, b = lo[v], hi[v]
-            if a == b:
-                continue
-            if c > 0:
-                bound = a + slack // c
-                if bound >= b:
-                    continue
-                if bound < a:
-                    return False
-                set_hi(v, bound)
-            else:
-                bound = b - slack // -c
-                if bound <= a:
-                    continue
-                if bound > b:
-                    return False
-                set_lo(v, bound)
-            for q in rows_of[v]:
-                if not queued[q] and q != r:
-                    queued[q] = 1
-                    queue.append(q)
-        return True
-
-    def propagate(pending: Sequence[int]) -> bool:
-        """Tighten bounds from the pending rows until no bound moves.
-
-        Tightening is monotone, so the fixpoint, and whether it is empty,
-        does not depend on the order the queued rows are taken in.
-        """
-        for r in pending:
-            if not queued[r]:
-                queued[r] = 1
-                queue.append(r)
+    def propagate(lo: list[int], hi: list[int], pending: Sequence[int]) -> bool:
+        """Tighten the bounds from the pending rows until none moves; False
+        when a row cannot hold.  Tightening is monotone, so the fixpoint
+        does not depend on the order the rows are taken in.  A row's own
+        tightenings leave its slack as it was, so only the other rows of a
+        tightened variable are queued again."""
+        queue = deque(pending)
+        queued = set(pending)
         while queue:
             r = queue.popleft()
-            queued[r] = 0
-            if not tighten(r):
-                for q in queue:
-                    queued[q] = 0
-                queue.clear()
+            queued.discard(r)
+            coeffs, rhs = rows[r]
+            least = most = 0
+            for v, c in coeffs:
+                if c > 0:
+                    least += c * lo[v]
+                    most += c * hi[v]
+                else:
+                    least += c * hi[v]
+                    most += c * lo[v]
+            slack = rhs - least
+            if slack < 0:
                 return False
+            if most - least <= slack:
+                continue
+            for v, c in coeffs:
+                # slack >= 0, so no new bound crosses the other one
+                if c > 0:
+                    bound = lo[v] + slack // c
+                    if bound >= hi[v]:
+                        continue
+                    hi[v] = bound
+                else:
+                    bound = hi[v] - slack // -c
+                    if bound <= lo[v]:
+                        continue
+                    lo[v] = bound
+                for q in rows_of[v]:
+                    if q not in queued and q != r:
+                        queued.add(q)
+                        queue.append(q)
         return True
 
-    def next_var(start: int) -> tuple[int, int, bool] | None:
-        """From row ``start`` on, the first row not yet settled for every
-        completion, its unfixed variable of smallest id and whether to try
-        the upper half first; None means all rows are settled."""
+    def next_var(lo: list[int], hi: list[int], start: int) -> tuple | None:
+        """From row ``start`` on, the first row some completion of the
+        bounds could still break, its unfixed variable of smallest id and
+        whether to try the upper half first; None when every row is
+        settled."""
         for r in range(start, len(rows)):
-            if act_max[r] > rhs_of[r]:
-                for v, c in rows[r][0]:
+            coeffs, rhs = rows[r]
+            if sum(c * (hi[v] if c > 0 else lo[v]) for v, c in coeffs) > rhs:
+                for v, c in coeffs:
                     if lo[v] < hi[v]:
                         return r, v, c < 0
         return None
 
     nodes = 0
-    if not propagate(range(len(rows))):
-        return IlpResult(INFEASIBLE, None, nodes)
-    # frames [var, tried, trail mark, upper first, row the scan stopped at]
-    stack: list[list] = []
-    state = "descend"
-    while True:
-        if state == "descend":
-            pick = next_var(stack[-1][4] if stack else 0)
-            if pick is not None and node_budget is not None and nodes >= node_budget:
-                return IlpResult(BUDGET_EXHAUSTED, None, nodes)
-            nodes += 1
-            if pick is None:
-                for coeffs, rhs in rows:
-                    if sum(c * lo[v] for v, c in coeffs) > rhs:
-                        raise IlpError(f"solution breaks the row {coeffs} <= {rhs}")
-                return IlpResult(FEASIBLE, dict(enumerate(lo)), nodes)
-            r, v, upper_first = pick
-            stack.append([v, 0, len(trail), upper_first, r])
-            state = "branch"
-        else:  # branch
-            if not stack:
-                return IlpResult(INFEASIBLE, None, nodes)
-            frame = stack[-1]
-            v, tried, mark, upper_first, _r = frame
-            undo(mark)
-            mid = (lo[v] + hi[v]) // 2
-            if tried == 2:
-                stack.pop()
-                continue
-            frame[1] = tried + 1
-            take_upper = upper_first == (tried == 0)
-            if take_upper:
-                set_lo(v, mid + 1)
-            else:
-                set_hi(v, mid)
-            state = "descend" if propagate(rows_of[v]) else "branch"
+    # the nodes still to visit, the next one last: each node's bounds, the
+    # rows to propagate first and the row where its parent's scan stopped
+    stack = [(lo, hi, range(len(rows)), 0)]
+    while stack:
+        lo, hi, pending, start = stack.pop()
+        if not propagate(lo, hi, pending):
+            continue
+        pick = next_var(lo, hi, start)
+        if pick is not None and node_budget is not None and nodes >= node_budget:
+            return IlpResult(BUDGET_EXHAUSTED, None, nodes)
+        nodes += 1
+        if pick is None:
+            for coeffs, rhs in rows:
+                if sum(c * lo[v] for v, c in coeffs) > rhs:
+                    raise IlpError(f"solution breaks the row {coeffs} <= {rhs}")
+            return IlpResult(FEASIBLE, dict(enumerate(lo)), nodes)
+        # split the variable, the half that helps the row hold tried first;
+        # each child owns its bound lists
+        r, v, upper_first = pick
+        mid = (lo[v] + hi[v]) // 2
+        upper = (lo[:], hi[:], rows_of[v], r)
+        upper[0][v] = mid + 1
+        hi[v] = mid
+        lower = (lo, hi, rows_of[v], r)
+        stack += [lower, upper] if upper_first else [upper, lower]
+    return IlpResult(INFEASIBLE, None, nodes)

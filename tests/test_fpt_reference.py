@@ -10,9 +10,10 @@ fixpoint graph, hung a leaf on every forced vertex and read the offsets,
 targets and solution off that grafted copy.  ``reference_cross_shut``
 compares the through route with the three detours one by one, and
 ``pairwise_refute_guess`` looks each ordered anchor pair up on its own.
-``drop_shut_pairs``, ``drop_fixed_pairs`` and ``project_flags`` take the
-full model to the compact one in three steps.  They are kept here as the
-references for :func:`geodetic.fpt._effective_items`,
+``drop_shut_pairs``, ``drop_fixed_pairs``, ``project_flags`` and
+``drop_idle_detour_rows`` take the full model to the compact one in four
+steps.  They are kept here as the references for
+:func:`geodetic.fpt._effective_items`,
 :func:`geodetic.fpt.candidate_size`, :func:`geodetic.fpt.emit_ilp`,
 :func:`geodetic.fpt.apply_guess`, :func:`geodetic.fpt.reconstruct`, the
 shut test of :class:`geodetic.fpt._OpenRow` and
@@ -492,6 +493,22 @@ def project_flags(model, placed):
     return compact, compact_placed, len(helper) + len(margin)
 
 
+def drop_idle_detour_rows(model):
+    """Reference: the model of :func:`project_flags` without the detour
+    rows that hold for every value in the domains.  A detour row is one
+    with a positive coefficient on a gate, a variable of domain [0, 1]; it
+    holds for every value when its greatest left side, each term at its
+    upper bound if its coefficient is positive, is at most its right side.
+    Also returns how many rows went."""
+    rows = []
+    for coeffs, rhs in model.constraints:
+        detour = any(c > 0 and model.variables[v] == (0, 1) for v, c in coeffs)
+        if detour and sum(c * model.variables[v][c > 0] for v, c in coeffs) <= rhs:
+            continue
+        rows.append((coeffs, rhs))
+    return IlpModel(model.variables, rows), len(model.constraints) - len(rows)
+
+
 def reference_gate_pairs(anchors):
     """The ordered anchor pairs in the order :func:`pairwise_emit_ilp`
     numbers its gates from 0: cross pairs, then self pairs."""
@@ -625,9 +642,9 @@ def test_stream_matches_eager_reference():
 def test_emit_ilp_matches_pairwise_reference():
     # every guess the solver applies, up to the first feasible one: the
     # model is the full reference model less the pairs shut at the corner,
-    # with the routes between fixed placements claimed outright and every
-    # flag projected out
-    models = dropped = dropped_vars = claimed = flags = empty = 0
+    # with the routes between fixed placements claimed outright, every flag
+    # projected out and the detour rows that cannot bind dropped
+    models = dropped = dropped_vars = claimed = flags = empty = idle = 0
     verdicts = [0, 0]
     for prep in seeded_kernels(32, 200, 0):
         for _size, _seq, ctx in _effective_items(prep):
@@ -640,11 +657,13 @@ def test_emit_ilp_matches_pairwise_reference():
             fixed_model, fixed_placed, fixed = drop_fixed_pairs(
                 prep, applied, open_model, open_placed
             )
-            compact, compact_placed, projected = project_flags(
+            projected_model, compact_placed, projected = project_flags(
                 fixed_model, fixed_placed
             )
+            compact, idle_rows = drop_idle_detour_rows(projected_model)
             assert (model, placed) == (compact, compact_placed)
             models += 1
+            idle += idle_rows
             dropped_vars += len(full.variables) - len(model.variables)
             dropped += shut
             claimed += len(fixed)
@@ -681,6 +700,9 @@ def test_emit_ilp_matches_pairwise_reference():
     )
     assert claimed > 50 * models and empty > 1_000, (models, claimed, empty)
     assert flags > 2 * models, (models, flags)
+    # a cross pair open at the corner with a fixed end never needs the
+    # detour row over that end alone
+    assert idle > 5 * models, (models, idle)
 
 
 def test_claimed_routes_extend_to_solutions_of_the_open_model():
@@ -756,8 +778,9 @@ def test_compact_model_searches_like_the_full_model():
 def test_models_hold_only_gates_and_placements():
     # every model the solver builds on stretched kernels, up to the first
     # feasible one: a 0/1 gate per open pair with a placed end, then the
-    # placements of the single and pair segments, each in [1, h]
-    models = placements = 0
+    # placements of the single and pair segments, each in [1, h], and only
+    # detour rows that can bind
+    models = placements = detours = 0
     for prep in seeded_kernels(37, 60, 2):
         for _size, _seq, ctx in _effective_items(prep):
             applied = apply_guess(prep, ctx)
@@ -777,11 +800,19 @@ def test_models_hold_only_gates_and_placements():
             assert model.variables == [(0, 1)] * gates + [
                 (1, prep.h[a >> 1]) for a in placed
             ]
+            # a row with a gate term c * gate, c > 0, is a detour row, and
+            # some values in the domains break it
+            for coeffs, rhs in model.constraints:
+                if any(v < gates and c > 0 for v, c in coeffs):
+                    most = sum(c * model.variables[v][c > 0] for v, c in coeffs)
+                    assert most > rhs, (ctx, coeffs, rhs)
+                    detours += 1
             models += 1
             placements += len(placed)
             if solve_ilp(model).status == FEASIBLE:
                 break
     assert models > 150 and placements > 4 * models, (models, placements)
+    assert detours > 20 * models, (models, detours)
 
 
 def test_refuted_guesses_are_infeasible_at_the_ilp_root():

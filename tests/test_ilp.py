@@ -152,8 +152,9 @@ def reference_solve(model, node_budget=None):
 def test_kept_activities_match_full_sweep_after_backtracking():
     # rows of two to seven terms with coefficients of magnitude 2 or 3 over
     # domains up to 0..7, often paired into a narrow band, so propagation
-    # leaves much to the search and both halves of a split are undone:
-    # stale row activities after backtracking show as a different search
+    # leaves much to the search and both halves of a split are searched:
+    # sibling branches that shared bound lists would show as a different
+    # search
     rng = random.Random(17)
     searched = {FEASIBLE: 0, INFEASIBLE: 0}
     for _ in range(200):
