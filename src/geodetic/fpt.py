@@ -402,10 +402,11 @@ def emit_ilp(
     open at the corner is open at its real placement, so its route is
     claimed outright: it gets no gate, its targets no covering row and its
     first anchor no margin row.  A cross pair gets a row for each detour
-    that some placement in range makes shorter than its through route.
-    Variables, in id order: the gates, then the two placements of every
-    single and pair segment, each in ``[1, h]``.  Returns the model and the
-    id of each placement variable by anchor.
+    that some placement in range makes shorter than its through route, and
+    no row is built that every value in the domains satisfies.  Variables,
+    in id order: the gates, then the two placements of every single and
+    pair segment, each in ``[1, h]``.  Returns the model and the id of each
+    placement variable by anchor.
     """
     end, hs, gaps = prep.end, prep.h, prep.gaps
     classes, offsets, anchors = applied.classes, applied.offsets, applied.anchors
@@ -439,16 +440,19 @@ def emit_ilp(
     }
 
     # interior spacing per open segment, whose two anchors follow each other
-    # in placed
+    # in placed; with both placements at least 1, xl + xr >= h holds for
+    # every value when h = 2, and -2xl - 2xr <= d - h when h - d <= 4
     for a in list(placed)[::2]:
         h, d = hs[a >> 1], prep.d[a >> 1]
         xl, xr = placed[a], placed[a + 1]
         if classes[a >> 1] == SINGLE:
             model.add_constraint([(xl, 1), (xr, 1)], "<=", h)
-            model.add_constraint([(xl, 1), (xr, 1)], ">=", h)
+            if h > 2:
+                model.add_constraint([(xl, 1), (xr, 1)], ">=", h)
         else:
             model.add_constraint([(xl, 1), (xr, 1)], "<=", h - 1)
-            model.add_constraint([(xl, -2), (xr, -2)], "<=", d - h)
+            if h - d > 4:
+                model.add_constraint([(xl, -2), (xr, -2)], "<=", d - h)
 
     # an ordered cross pair may claim its through route only if that route
     # is no longer than any of the three detours around a segment end: each
@@ -462,6 +466,9 @@ def emit_ilp(
     # covering row per target, in bit order.
     targets = applied.targets & ~claimed
     cover = {1 << t: [] for t in range(targets.bit_length()) if targets >> t & 1}
+    # each end's doubled share of a gap: its terms, fixed part and top value
+    side = {a: ([], 2 * offsets[a], 2 * offsets[a]) for a in fixed}
+    side.update((a, ([(x, 2)], 0, 2 * hs[a >> 1])) for a, x in placed.items())
     for (a, b, entry), gate in zip(pairs, gates):
         hit = entry & targets
         while hit:
@@ -473,12 +480,12 @@ def emit_ilp(
             model.add_constraint(row, "<=", big + hs[ia] - prep.d[ia])
         else:
             g1, g2, g3 = gaps[a * len(end) + b]
-            for gap, ends in ((g1, (b,)), (g2, (a,)), (g3, (a, b))):
-                # with the gate at 1, the placed ends' terms are at most rhs
-                rhs = -gap - sum(2 * offsets[s] for s in ends if s not in placed)
-                if sum(2 * hs[s >> 1] for s in ends if s in placed) > rhs:
-                    terms = [(placed[s], 2) for s in ends if s in placed]
-                    model.add_constraint(terms + [(gate, big)], "<=", big + rhs)
+            (ta, fa, ua), (tb, fb, ub) = side[a], side[b]
+            for gap, terms, low, top in (
+                (g1, tb, fb, ub), (g2, ta, fa, ua), (g3, ta + tb, fa + fb, ua + ub)
+            ):
+                if gap + top > 0:
+                    model.add_constraint(terms + [(gate, big)], "<=", big - gap - low)
     for terms in cover.values():
         model.add_constraint(terms, ">=", 1)
 

@@ -539,8 +539,8 @@ def test_model_size_stats_are_the_largest_model_solved(monkeypatch):
 
     monkeypatch.setattr(fpt, "emit_ilp", recording)
     stats = solve_fpt(random_fen_graph(18, 7, random.Random(139))).stats
-    assert sizes == [(38, 86), (38, 83)]
-    assert (stats["ilp_vars_max"], stats["ilp_rows_max"]) == (38, 86)
+    assert sizes == [(38, 85), (38, 83)]
+    assert (stats["ilp_vars_max"], stats["ilp_rows_max"]) == (38, 85)
 
 
 def test_shut_tests_grow_with_the_offsets():

@@ -1,27 +1,32 @@
 """The lazy guess stream, the memoised ILP rows and the read-only guesses
-against the code they replaced.
+against the code they replaced, and each guess's model against what it
+must mean.
 
 ``eager_items`` is the guess list the solver used to build and sort in
 full (with the segment-by-segment ``reference_candidate_size``), and
 ``pairwise_emit_ilp`` the model builder that rescanned every ordered anchor
-pair for each covered target.  ``reference_graft``, ``reference_record``
-and ``reference_reconstruct`` are the guess application that copied the
+pair for each covered target; the model the solver builds must search like
+it.  ``reference_graft``, ``reference_record`` and
+``reference_reconstruct`` are the guess application that copied the
 fixpoint graph, hung a leaf on every forced vertex and read the offsets,
 targets and solution off that grafted copy.  ``reference_cross_shut``
 compares the through route with the three detours one by one, and
 ``pairwise_refute_guess`` looks each ordered anchor pair up on its own.
-``drop_shut_pairs``, ``drop_fixed_pairs``, ``project_flags`` and
-``drop_idle_detour_rows`` take the full model to the compact one in four
-steps.  They are kept here as the references for
+They are kept here as the references for
 :func:`geodetic.fpt._effective_items`,
-:func:`geodetic.fpt.candidate_size`, :func:`geodetic.fpt.emit_ilp`,
-:func:`geodetic.fpt.apply_guess`, :func:`geodetic.fpt.reconstruct`, the
-shut test of :class:`geodetic.fpt._OpenRow` and
-:func:`geodetic.fpt.refute_guess`.
+:func:`geodetic.fpt.candidate_size`, :func:`geodetic.fpt.apply_guess`,
+:func:`geodetic.fpt.reconstruct`, the shut test of
+:class:`geodetic.fpt._OpenRow` and :func:`geodetic.fpt.refute_guess`.
+
+:func:`geodetic.fpt.emit_ilp` is checked by what its model means, not by
+its rows: with the placements fixed at any point of their ranges, the
+model is feasible exactly when the point is of the guess's class and the
+candidate it reads is geodetic on the grafted graph.
 """
 
 import collections
 import itertools
+import math
 import random
 
 from geodetic.fpt import (
@@ -351,164 +356,6 @@ def pairwise_emit_ilp(prep, applied):
     return model, placed
 
 
-def drop_shut_pairs(prep, applied, model, placed):
-    """Reference: the model and placement ids of :func:`pairwise_emit_ilp`
-    without the ordered anchor pairs that are shut at ``applied.offsets``,
-    the lower corner of the placement ranges.  A shut pair's gate and
-    helper flags go, and so does every row holding one of them, except a
-    covering row (0/1 terms ``>= 1``), which only loses the gate's term.
-    The remaining variables keep their order.  Also returns how many gates
-    went."""
-    offsets, anchors = applied.offsets, applied.anchors
-    shut = {
-        gate
-        for gate, (a, b) in enumerate(reference_gate_pairs(anchors))
-        if reference_pair_shut(prep, a, b, offsets[a], offsets[b])
-    }
-    dropped = set(shut)
-    # a gate's helper flags share the row f1 + f2 + f3 - 3 * gate >= 0
-    for coeffs, rhs in model.constraints:
-        if rhs == 0 and any(v in shut and c == 3 for v, c in coeffs):
-            dropped.update(v for v, _c in coeffs)
-    renumber = {}
-    variables = []
-    for v, domain in enumerate(model.variables):
-        if v not in dropped:
-            renumber[v] = len(variables)
-            variables.append(domain)
-    rows = []
-    for coeffs, rhs in model.constraints:
-        if rhs == -1 and all(c == -1 for _v, c in coeffs):
-            coeffs = tuple(t for t in coeffs if t[0] not in dropped)
-        elif any(v in dropped for v, _c in coeffs):
-            continue
-        rows.append((tuple((renumber[v], c) for v, c in coeffs), rhs))
-    compact = IlpModel(variables, rows)
-    return compact, {a: renumber[v] for a, v in placed.items()}, len(shut)
-
-
-def drop_fixed_pairs(prep, applied, model, placed):
-    """Reference: the model and placement ids of :func:`drop_shut_pairs`
-    with the routes between fixed placements claimed outright.  The gate of
-    every open pair of two anchors on leafed segments is fixed at 1, and
-    each such anchor's margin flag at 1 when its offset is at most 1, else
-    at 0.  Also returns the value of each fixed variable by its id in
-    ``model``."""
-    classes, offsets, anchors = applied.classes, applied.offsets, applied.anchors
-    # drop_shut_pairs keeps the gates of the open pairs first, in the
-    # reference order, and the margin flags next, in anchor order
-    pairs = [
-        (a, b)
-        for a, b in reference_gate_pairs(anchors)
-        if not reference_pair_shut(prep, a, b, offsets[a], offsets[b])
-    ]
-    fixed = {a for a in anchors if classes[a >> 1] == LEAFED}
-    values = {
-        gate: 1 for gate, (a, b) in enumerate(pairs) if a in fixed and b in fixed
-    }
-    for flag, a in enumerate(anchors, start=len(pairs)):
-        if a in fixed:
-            values[flag] = int(offsets[a] <= 1)
-    compact, compact_placed = fix_variables(model, placed, values)
-    return compact, compact_placed, values
-
-
-def fix_variables(model, placed, values):
-    """Reference: the model and placement ids with each variable in
-    ``values`` fixed at its value.  A row holding a fixed variable takes its
-    value into the right side, and goes when it then holds for every value
-    of its other variables.  The remaining variables keep their order."""
-    renumber = {}
-    variables = []
-    for v, domain in enumerate(model.variables):
-        if v not in values:
-            renumber[v] = len(variables)
-            variables.append(domain)
-    rows = []
-    for coeffs, rhs in model.constraints:
-        kept = tuple((v, c) for v, c in coeffs if v not in values)
-        if len(kept) < len(coeffs):
-            rhs -= sum(c * values[v] for v, c in coeffs if v in values)
-            # the greatest left side: each term at its upper bound if c > 0
-            if sum(c * model.variables[v][c > 0] for v, c in kept) <= rhs:
-                continue
-        rows.append((tuple((renumber[v], c) for v, c in kept), rhs))
-    return IlpModel(variables, rows), {a: renumber[v] for a, v in placed.items()}
-
-
-def flag_roles(model, placed):
-    """Reference: the helper and margin flags of a model of
-    :func:`drop_shut_pairs` or :func:`drop_fixed_pairs`, told apart by their
-    rows.  A gate's three helper flags share the row ``f1 + f2 + f3 - 3 *
-    gate >= 0``; a placed anchor's margin flag sits in ``x + big * flag <=
-    big + 1`` with its placement x.  Returns the gate of each helper flag
-    and the placement of each margin flag, by flag id."""
-    xs = set(placed.values())
-    helper, margin = {}, {}
-    for coeffs, rhs in model.constraints:
-        if rhs == 0 and any(c == 3 for _v, c in coeffs):
-            gate = next(v for v, c in coeffs if c == 3)
-            helper.update((v, gate) for v, c in coeffs if c == -1)
-        elif len(coeffs) == 2:
-            (x, one), (flag, big) = sorted(coeffs, key=lambda t: t[0] not in xs)
-            if x in xs and flag not in xs and one == 1 and rhs == big + 1:
-                margin[flag] = x
-    return helper, margin
-
-
-def project_flags(model, placed):
-    """Reference: the model and placement ids of :func:`drop_fixed_pairs`
-    with every flag projected out.  A helper flag gives way to its gate in
-    its detour row, and the row linking the three flags to the gate goes.
-    A margin flag's rows ``x + big * flag <= big + 1`` and ``flag + leaving
-    >= 1`` become ``x - h * leaving <= 1``, h the upper bound of x.  The rows
-    ``x >= 1`` of the placements become their lower bounds.  The remaining
-    variables keep their order.  Also returns how many flags went."""
-    helper, margin = flag_roles(model, placed)
-    xs = set(placed.values())
-    renumber = {}
-    variables = []
-    for v, (lo, hi) in enumerate(model.variables):
-        if v not in helper and v not in margin:
-            renumber[v] = len(variables)
-            variables.append((1, hi) if v in xs else (lo, hi))
-    rows = []
-    for coeffs, rhs in model.constraints:
-        flags = [v for v, _c in coeffs if v in margin]
-        linking = rhs == 0 and any(c == 3 for _v, c in coeffs)
-        at_least_one = rhs == -1 and len(coeffs) == 1 and coeffs[0][0] in xs
-        if linking or at_least_one or (flags and rhs != -1):
-            continue
-        if flags:
-            # flag + leaving >= 1, stored as -flag - leaving <= -1
-            x = margin[flags[0]]
-            h = model.variables[x][1]
-            coeffs = [(x, 1)] + [(v, h * c) for v, c in coeffs if v != flags[0]]
-            rhs = 1
-        else:
-            coeffs = [(helper.get(v, v), c) for v, c in coeffs]
-        rows.append((tuple(sorted((renumber[v], c) for v, c in coeffs)), rhs))
-    compact = IlpModel(variables, rows)
-    compact_placed = {a: renumber[v] for a, v in placed.items()}
-    return compact, compact_placed, len(helper) + len(margin)
-
-
-def drop_idle_detour_rows(model):
-    """Reference: the model of :func:`project_flags` without the detour
-    rows that hold for every value in the domains.  A detour row is one
-    with a positive coefficient on a gate, a variable of domain [0, 1]; it
-    holds for every value when its greatest left side, each term at its
-    upper bound if its coefficient is positive, is at most its right side.
-    Also returns how many rows went."""
-    rows = []
-    for coeffs, rhs in model.constraints:
-        detour = any(c > 0 and model.variables[v] == (0, 1) for v, c in coeffs)
-        if detour and sum(c * model.variables[v][c > 0] for v, c in coeffs) <= rhs:
-            continue
-        rows.append((coeffs, rhs))
-    return IlpModel(model.variables, rows), len(model.constraints) - len(rows)
-
-
 def reference_gate_pairs(anchors):
     """The ordered anchor pairs in the order :func:`pairwise_emit_ilp`
     numbers its gates from 0: cross pairs, then self pairs."""
@@ -639,44 +486,78 @@ def test_stream_matches_eager_reference():
     assert yielded > 25_000 and pruned > 300_000
 
 
-def test_emit_ilp_matches_pairwise_reference():
-    # every guess the solver applies, up to the first feasible one: the
-    # model is the full reference model less the pairs shut at the corner,
-    # with the routes between fixed placements claimed outright, every flag
-    # projected out and the detour rows that cannot bind dropped
-    models = dropped = dropped_vars = claimed = flags = empty = idle = 0
+def in_class(prep, applied, x):
+    """Whether the placements ``x``, by anchor, hold one vertex in each
+    single segment (xl + xr = h) and two in each pair segment
+    (xl + xr <= h - 1)."""
+    return all(
+        x[a] + x[a + 1] == prep.h[a >> 1]
+        if applied.classes[a >> 1] == SINGLE
+        else x[a] + x[a + 1] <= prep.h[a >> 1] - 1
+        for a in list(x)[::2]
+    )
+
+
+def test_models_are_feasible_exactly_at_geodetic_placements():
+    # the first 40 guesses of each kernel whose placement box has at most
+    # 200 points: with its placements fixed at a point of the box, a model
+    # is feasible exactly when the point is of the guess's class and the
+    # candidate it reads is geodetic on the grafted graph.  No candidate of
+    # a refuted guess is geodetic.
+    seen = collections.Counter()
+    for prep in seeded_kernels(32, 120, 0) + seeded_kernels(33, 120, 2):
+        for _size, _seq, ctx in itertools.islice(_effective_items(prep), 40):
+            applied = apply_guess(prep, ctx)
+            model, placed = emit_ilp(prep, applied)
+            box = [range(1, prep.h[a >> 1] + 1) for a in placed]
+            if math.prod(map(len, box)) > 200:
+                seen["skipped"] += 1
+                continue
+            refuted = refute_guess(prep, applied) is not None
+            work = reference_graft(prep, ctx)[0]
+            graph, labels = work.to_graph()
+            index = {lab: j for j, lab in enumerate(labels)}
+            for point in itertools.product(*box):
+                x = dict(zip(placed, point))
+                assignment = {placed[a]: xa for a, xa in x.items()}
+                pinned = IlpModel(list(model.variables), model.constraints)
+                for v, xa in assignment.items():
+                    pinned.variables[v] = (xa, xa)
+                feasible = solve_ilp(pinned).status == FEASIBLE
+                seen["points"] += 1
+                if not in_class(prep, applied, x):
+                    assert not feasible, (ctx, x)
+                    continue
+                candidate = reference_reconstruct(
+                    prep, applied, work, assignment, placed
+                )
+                geodetic = is_geodetic(graph, [index[v] for v in candidate])
+                assert feasible == geodetic, (ctx, x)
+                assert not (refuted and geodetic), (ctx, x)
+                seen["refuted" if refuted else "geodetic" if geodetic else "not"] += 1
+            seen["guesses"] += 1
+    assert seen["guesses"] > 5_000 and seen["points"] > 90_000, seen
+    # in-class points: geodetic, not geodetic, and of a refuted guess
+    assert seen["geodetic"] > 1_000 and seen["not"] > 400, seen
+    assert seen["refuted"] > 7_000, seen
+
+
+def test_grafted_solutions_lift_to_kernel_solutions():
+    # the first feasible model of each kernel: the grafted solution lifts
+    # to the kernel solution, and the two certificates agree on it and on
+    # every move of one vertex that is not a grafted leaf to a neighbour
+    # outside the solution
     verdicts = [0, 0]
     for prep in seeded_kernels(32, 200, 0):
         for _size, _seq, ctx in _effective_items(prep):
             applied = apply_guess(prep, ctx)
+            if refute_guess(prep, applied) is not None:
+                continue
             model, placed = emit_ilp(prep, applied)
-            full, full_placed = pairwise_emit_ilp(prep, applied)
-            open_model, open_placed, shut = drop_shut_pairs(
-                prep, applied, full, full_placed
-            )
-            fixed_model, fixed_placed, fixed = drop_fixed_pairs(
-                prep, applied, open_model, open_placed
-            )
-            projected_model, compact_placed, projected = project_flags(
-                fixed_model, fixed_placed
-            )
-            compact, idle_rows = drop_idle_detour_rows(projected_model)
-            assert (model, placed) == (compact, compact_placed)
-            models += 1
-            idle += idle_rows
-            dropped_vars += len(full.variables) - len(model.variables)
-            dropped += shut
-            claimed += len(fixed)
-            flags += projected
-            empty += not model.variables
             res = solve_ilp(model)
             if res.status == FEASIBLE:
                 break
         assert res.status == FEASIBLE
-        # the first feasible guess: the grafted solution lifts to the
-        # kernel solution, and the two certificates agree on it and on
-        # every move of one vertex that is not a grafted leaf to a
-        # neighbour outside the solution
         work, trace = reference_graft(prep, ctx)
         grafted = reference_reconstruct(prep, applied, work, res.assignment, placed)
         solution = reconstruct(prep, applied, res.assignment, placed)
@@ -689,67 +570,14 @@ def test_emit_ilp_matches_pairwise_reference():
                 verdict = geodetic_on(work, moved)
                 assert verdict == geodetic_on(prep.work, lift_witness(trace, moved))
                 verdicts[verdict] += 1
-    assert models > 2_000
-    assert min(verdicts) > 20
-    # models lose shut pairs, and some of those pairs helper flags too;
-    # claimed pairs and fixed margin flags go as well, the open pairs'
-    # helper flags and the placed anchors' margin flags are projected out,
-    # and guesses with no placed segment build an empty model
-    assert dropped > 80 * models and dropped_vars > dropped + claimed + flags, (
-        models, dropped, dropped_vars, claimed, flags
-    )
-    assert claimed > 50 * models and empty > 1_000, (models, claimed, empty)
-    assert flags > 2 * models, (models, flags)
-    # a cross pair open at the corner with a fixed end never needs the
-    # detour row over that end alone
-    assert idle > 5 * models, (models, idle)
-
-
-def test_claimed_routes_extend_to_solutions_of_the_open_model():
-    # every feasible model the solver solves on the same kernels: its
-    # solution, with each claimed gate at 1, each fixed anchor's margin flag
-    # at 1 when its offset is at most 1, else at 0, each helper flag at its
-    # gate and each placed anchor's margin flag at [x <= 1], satisfies every
-    # row of the model before the routes between fixed placements went
-    checked = flags_off = 0
-    for prep in seeded_kernels(32, 200, 0):
-        for _size, _seq, ctx in _effective_items(prep):
-            applied = apply_guess(prep, ctx)
-            if refute_guess(prep, applied) is not None:
-                continue
-            model, _placed = emit_ilp(prep, applied)
-            res = solve_ilp(model)
-            if res.status != FEASIBLE:
-                continue
-            full, full_placed = pairwise_emit_ilp(prep, applied)
-            open_model, open_placed, _shut = drop_shut_pairs(
-                prep, applied, full, full_placed
-            )
-            fixed = drop_fixed_pairs(prep, applied, open_model, open_placed)[2]
-            helper, margin = flag_roles(open_model, open_placed)
-            kept = [
-                v
-                for v in range(len(open_model.variables))
-                if v not in fixed and v not in helper and v not in margin
-            ]
-            assert len(kept) == len(model.variables)
-            value = dict(fixed)
-            value.update(zip(kept, (res.assignment[v] for v in range(len(kept)))))
-            value.update((flag, value[gate]) for flag, gate in helper.items())
-            value.update((flag, int(value[x] <= 1)) for flag, x in margin.items())
-            for coeffs, rhs in open_model.constraints:
-                assert sum(c * value[v] for v, c in coeffs) <= rhs, (ctx, coeffs)
-            checked += 1
-            flags_off += sum(1 for a in applied.anchors if applied.offsets[a] > 1)
-            break
-    assert checked == 200 and flags_off > 50, (checked, flags_off)
+    assert min(verdicts) > 20, verdicts
 
 
 def test_compact_model_searches_like_the_full_model():
     # every guess the refutation lets through, up to the first feasible
-    # one: dropping the shut pairs, claiming the routes between fixed
-    # placements and projecting the flags out keep the status, the
-    # placements and the solution, and only ever save search nodes
+    # one: the model emit_ilp builds keeps the status, the placements and
+    # the solution of the full reference model, and only ever saves search
+    # nodes
     solved = fewer = 0
     for prep in seeded_kernels(32, 200, 0):
         for _size, _seq, ctx in _effective_items(prep):
@@ -779,7 +607,7 @@ def test_models_hold_only_gates_and_placements():
     # every model the solver builds on stretched kernels, up to the first
     # feasible one: a 0/1 gate per open pair with a placed end, then the
     # placements of the single and pair segments, each in [1, h], and only
-    # detour rows that can bind
+    # rows that some values in the domains break
     models = placements = detours = 0
     for prep in seeded_kernels(37, 60, 2):
         for _size, _seq, ctx in _effective_items(prep):
@@ -800,13 +628,13 @@ def test_models_hold_only_gates_and_placements():
             assert model.variables == [(0, 1)] * gates + [
                 (1, prep.h[a >> 1]) for a in placed
             ]
-            # a row with a gate term c * gate, c > 0, is a detour row, and
-            # some values in the domains break it
+            # the greatest left side of a row, each term at its upper bound
+            # if its coefficient is positive, exceeds its right side; a row
+            # with a gate term c * gate, c > 0, is a detour row
             for coeffs, rhs in model.constraints:
-                if any(v < gates and c > 0 for v, c in coeffs):
-                    most = sum(c * model.variables[v][c > 0] for v, c in coeffs)
-                    assert most > rhs, (ctx, coeffs, rhs)
-                    detours += 1
+                most = sum(c * model.variables[v][c > 0] for v, c in coeffs)
+                assert most > rhs, (ctx, coeffs, rhs)
+                detours += any(v < gates and c > 0 for v, c in coeffs)
             models += 1
             placements += len(placed)
             if solve_ilp(model).status == FEASIBLE:
