@@ -66,11 +66,10 @@ class MutableGraph:
 
     @classmethod
     def from_graph(cls, g: Graph) -> "MutableGraph":
+        """Copy of ``g``, which has already rejected loops and duplicate edges."""
         mg = cls()
-        for v in range(g.n):
-            mg.add_vertex(v)
-        for u, v in g.edges():
-            mg.add_edge(u, v)
+        mg._adj = {v: set(nb) for v, nb in enumerate(g.adj)}
+        mg._next = g.n
         return mg
 
     @property
@@ -249,14 +248,13 @@ class RuleWorklist:
     without sorting its neighbourhood.  A heap may hold stale labels but
     always holds every label its rule applies to: an entry is checked again
     when popped and dropped if the rule no longer applies, and after each
-    collapse or twin :meth:`touch` queues whatever the edit can have
-    enabled.  The other rules edit the graph rarely, so the driver builds a
-    fresh worklist after them.  So the smallest applicable label comes
-    first, as in a scan of sorted labels.
+    edit :func:`apply_collapse` and :func:`apply_twin` queue the few labels
+    it can have enabled, in O(1) pushes.  The other rules edit the graph
+    rarely, so the driver builds a fresh worklist after them.  So the
+    smallest applicable label comes first, as in a scan of sorted labels.
     """
 
     def __init__(self, work: MutableGraph) -> None:
-        self.work = work
         # ascending lists are already heaps
         self.collapse = [v for v in work.labels() if work.degree(v) == 1]
         self.leaves: dict[int, list[int]] = {}
@@ -265,77 +263,34 @@ class RuleWorklist:
             self.leaves.setdefault(s, []).append(u)
         self.twin = sorted(s for s, heap in self.leaves.items() if len(heap) >= 2)
 
-    def touch(self, *labels: int) -> None:
-        """Queue the rules that an edit changing the degrees of ``labels``
-        can enable.
-
-        A new leaf may collapse and adds a leaf to its support, a support
-        may hold a second leaf, and a vertex now of degree 2 lets its leaves
-        collapse.  No other vertex can gain a rule, so each edit costs O(1)
-        pushes.
-        """
-        work = self.work
-        for v in labels:
-            d = work.degree(v)
-            if d == 1:
-                (s,) = work.neighbors(v)
-                heappush(self.collapse, v)
-                heappush(self.leaves.setdefault(s, []), v)
-                heappush(self.twin, s)
-            elif d >= 2:
-                heappush(self.twin, v)
-                if d == 2:
-                    for u in work.neighbors(v):
-                        if work.degree(u) == 1:
-                            heappush(self.collapse, u)
-
-    def pop_collapse(self) -> int | None:
-        """Smallest leaf whose support has degree 2, or None."""
-        work = self.work
-        while self.collapse:
-            u = heappop(self.collapse)
-            if work.has_vertex(u) and work.degree(u) == 1:
-                (v,) = work.neighbors(u)
-                if work.degree(v) == 2:
-                    return u
-        return None
-
-    def pop_twin(self) -> tuple[int, int, int] | None:
-        """Smallest support with two pendant leaves, with its two smallest
-        leaves (kept, then removed), or None."""
-        work = self.work
-        while self.twin:
-            s = heappop(self.twin)
-            heap = self.leaves.get(s, [])
-            found: list[int] = []
-            while heap and len(found) < 2:
-                u = heappop(heap)
-                if (
-                    u not in found
-                    and work.has_vertex(u)
-                    and work.degree(u) == 1
-                    and s in work.neighbors(u)
-                ):
-                    found.append(u)
-            if len(found) == 2:
-                heappush(heap, found[0])
-                return s, found[0], found[1]
-            for u in found:
-                heappush(heap, u)
-        return None
-
 
 def apply_collapse(
     work: MutableGraph, trace: list[TraceEntry], worklist: RuleWorklist
 ) -> bool:
     """Drop the smallest leaf whose support has degree 2; the support takes
-    its place."""
-    u = worklist.pop_collapse()
-    if u is None:
+    its place.
+
+    The support becomes a leaf: it may collapse in turn, and its own support
+    gains a leaf, so may now hold two for twin.
+    """
+    adj = work._adj
+    heap = worklist.collapse
+    while heap:
+        u = heappop(heap)
+        nb = adj.get(u)
+        if nb is not None and len(nb) == 1:
+            (v,) = nb
+            vnb = adj[v]
+            if len(vnb) == 2:
+                break
+    else:
         return False
-    (v,) = work.neighbors(u)
-    work.remove_vertex(u)
-    worklist.touch(v)
+    del adj[u]
+    vnb.discard(u)
+    (s,) = vnb
+    heappush(heap, v)
+    heappush(worklist.leaves.setdefault(s, []), v)
+    heappush(worklist.twin, s)
     trace.append(TraceEntry("collapse", 0, (u,), (), {"leaf": u, "support": v}))
     return True
 
@@ -344,13 +299,44 @@ def apply_twin(
     work: MutableGraph, trace: list[TraceEntry], worklist: RuleWorklist
 ) -> bool:
     """At the smallest support with two pendant leaves, drop its second
-    smallest leaf; optimum drops by 1."""
-    found = worklist.pop_twin()
-    if found is None:
+    smallest leaf; optimum drops by 1.
+
+    The support keeps one leaf.  Left with degree 1 it is a leaf itself; with
+    degree 2 its leaves may collapse; with more it may still hold two leaves.
+    """
+    adj = work._adj
+    twin, leaves = worklist.twin, worklist.leaves
+    while twin:
+        v = heappop(twin)
+        heap = leaves.get(v, [])
+        found: list[int] = []
+        while heap and len(found) < 2:
+            u = heappop(heap)
+            nb = adj.get(u)
+            if nb is not None and len(nb) == 1 and v in nb and u not in found:
+                found.append(u)
+        if len(found) == 2:
+            break
+        for u in found:
+            heappush(heap, u)
+    else:
         return False
-    v, kept, gone = found
-    work.remove_vertex(gone)
-    worklist.touch(v)
+    kept, gone = found
+    heappush(heap, kept)
+    del adj[gone]
+    vnb = adj[v]
+    vnb.discard(gone)
+    if len(vnb) == 1:
+        (s,) = vnb
+        heappush(worklist.collapse, v)
+        heappush(leaves.setdefault(s, []), v)
+        heappush(twin, s)
+    else:
+        heappush(twin, v)
+        if len(vnb) == 2:
+            for u in vnb:
+                if len(adj[u]) == 1:
+                    heappush(worklist.collapse, u)
     trace.append(
         TraceEntry(
             "twin", 1, (gone,), (), {"kept": kept, "removed": gone, "support": v}

@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import hashlib
 import random
 
 import pytest
@@ -194,6 +195,35 @@ def test_reduce_output_round_trips(tmp_path, capsys):
     assert "k-decrease" in out
     reduced = parse_graph(out_file.read_text())
     assert reduced.n < 8
+
+
+@pytest.mark.parametrize(
+    "n, fen, seed, rules, report_sha, out_sha",
+    [
+        (4000, 2, 11, (1968, 1990),
+         "f793664c58a06612d5bb6c6b70350f2b2b36c9c419b4c48910d1f2fc342967bf",
+         "3cd7536abf04dd4cdfff671740c636f3cbac806c1d9d93005ce1823b49034d4e"),
+        (6000, 6, 12, (2911, 2949),
+         "f46f05caab17b30f4d662e0912ba1b91812017ea66ef95bd25943d9db9f47faa",
+         "33475a99eaf9ebc606801e642e04cfcb190e99c5eab2f91d694db71d319283bb"),
+    ],
+)
+def test_reduce_reports_on_large_near_trees_are_golden(
+    tmp_path, capsys, monkeypatch, n, fen, seed, rules, report_sha, out_sha
+):
+    """Thousands of collapse and twin steps: the report and the kernel file
+    are pinned byte for byte."""
+    monkeypatch.chdir(tmp_path)
+    name = f"nt{n}"
+    (tmp_path / f"{name}.graph").write_text(
+        format_graph(random_fen_graph(n, fen, random.Random(seed)))
+    )
+    code, out = run(capsys, ["reduce", f"{name}.graph", "--out", f"{name}.reduced"])
+    assert code == 0
+    fired = [ln.split()[1] for ln in out.splitlines() if ln.startswith("RULE ")]
+    assert (fired.count("collapse"), fired.count("twin")) == rules
+    assert hashlib.sha256(out.encode()).hexdigest() == report_sha
+    assert hashlib.sha256((tmp_path / f"{name}.reduced").read_bytes()).hexdigest() == out_sha
 
 
 def test_generate_random_fen_has_exact_fen(tmp_path, capsys):
