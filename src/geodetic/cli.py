@@ -22,6 +22,7 @@ from geodetic.gadget import (
 )
 from geodetic.generators import cycle_with_leaves, random_fen_graph
 from geodetic.graph import (
+    DisconnectedError,
     Graph,
     GraphError,
     GraphFormatError,
@@ -32,7 +33,6 @@ from geodetic.graph import (
     format_graph,
     induced_subgraph,
     interval_closure,
-    is_connected,
     parse_graph,
 )
 from geodetic.gridtiling import (
@@ -219,10 +219,11 @@ def cmd_stats(args) -> int:
 
 def cmd_reduce(args) -> int:
     g = _read_graph(args.graph)
-    if not is_connected(g):
+    try:
+        red = reduce_to_fixpoint(g)
+    except DisconnectedError:
         print("error reduce requires a connected graph", file=sys.stderr)
         return 2
-    red = reduce_to_fixpoint(g)
     report = Report(args.quiet)
     report.line("command", "reduce")
     report.line("input", args.graph)

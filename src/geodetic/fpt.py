@@ -29,11 +29,10 @@ from functools import reduce
 from operator import itemgetter, or_
 
 from geodetic.graph import (
-    DisconnectedError,
     Graph,
     GraphError,
     VerificationError,
-    is_connected,
+    interval_closure,
     is_geodetic,
 )
 from geodetic.ilp import (
@@ -698,12 +697,13 @@ def solve_fpt(
     verified and returned, as an upper bound: it answers yes when it has
     at most k vertices.  A witness that fails its check, on the reduced
     graph or on ``g``, raises :class:`~geodetic.graph.VerificationError`.
+    A disconnected ``g`` raises :class:`~geodetic.graph.DisconnectedError`
+    from the reduction, which searches its components once.
     """
     if g.n == 0:
         raise GraphError("empty graph has no geodetic set")
-    if not is_connected(g):
-        raise DisconnectedError("solver requires a connected graph")
-    # connected, so the feedback edge number is m - n + 1
+    # one vertex is connected and the reduction rejects any other
+    # disconnected g, so the feedback edge number is m - n + 1
     stats: dict = {"fen": g.m - g.n + 1}
     if g.n == 1:
         return SolveResult(
@@ -738,7 +738,8 @@ def solve_fpt(
         raise VerificationError(
             f"lifted witness has {len(witness)} vertices, optimum is {size}"
         )
-    if not is_geodetic(g, witness):
+    # the reduction found g connected, so no second component search
+    if len(interval_closure(g, witness)) != g.n:
         raise VerificationError(f"lifted witness {witness} is not geodetic")
     answer: bool | None = None
     if k is not None:

@@ -35,7 +35,7 @@ from collections import deque
 from collections.abc import Set
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from geodetic.graph import (
     DisconnectedError,
@@ -152,8 +152,10 @@ class MutableGraph:
         return Graph(len(labels), edges), labels
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
+    """One rule application; a named tuple, since collapse and twin log
+    one per firing."""
+
     rule: str
     dk: int
     removed: tuple[int, ...]
@@ -249,9 +251,11 @@ class RuleWorklist:
     always holds every label its rule applies to: an entry is checked again
     when popped and dropped if the rule no longer applies, and after each
     edit :func:`apply_collapse` and :func:`apply_twin` queue the few labels
-    it can have enabled, in O(1) pushes.  The other rules edit the graph
-    rarely, so the driver builds a fresh worklist after them.  So the
-    smallest applicable label comes first, as in a scan of sorted labels.
+    it can have enabled, in O(1) pushes.  A support that gains a leaf goes
+    onto ``twin`` only once its ``leaves`` heap holds two entries, the
+    least twin needs.  The other rules edit the graph rarely, so the driver
+    builds a fresh worklist after them.  So the smallest applicable label
+    comes first, as in a scan of sorted labels.
     """
 
     def __init__(self, work: MutableGraph) -> None:
@@ -289,8 +293,10 @@ def apply_collapse(
     vnb.discard(u)
     (s,) = vnb
     heappush(heap, v)
-    heappush(worklist.leaves.setdefault(s, []), v)
-    heappush(worklist.twin, s)
+    sleaves = worklist.leaves.setdefault(s, [])
+    heappush(sleaves, v)
+    if len(sleaves) >= 2:
+        heappush(worklist.twin, s)
     trace.append(TraceEntry("collapse", 0, (u,), (), {"leaf": u, "support": v}))
     return True
 
@@ -329,10 +335,13 @@ def apply_twin(
     if len(vnb) == 1:
         (s,) = vnb
         heappush(worklist.collapse, v)
-        heappush(leaves.setdefault(s, []), v)
-        heappush(twin, s)
+        sleaves = leaves.setdefault(s, [])
+        heappush(sleaves, v)
+        if len(sleaves) >= 2:
+            heappush(twin, s)
     else:
-        heappush(twin, v)
+        if len(heap) >= 2:
+            heappush(twin, v)
         if len(vnb) == 2:
             for u in vnb:
                 if len(adj[u]) == 1:

@@ -226,6 +226,22 @@ def test_reduce_reports_on_large_near_trees_are_golden(
     assert hashlib.sha256((tmp_path / f"{name}.reduced").read_bytes()).hexdigest() == out_sha
 
 
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        ("4 2\n0 1\n2 3\n", "error reduce requires a connected graph\n"),
+        ("0 0\n", "error cannot reduce the empty graph\n"),
+    ],
+    ids=["two-components", "empty"],
+)
+def test_reduce_rejects_its_input_before_any_report(tmp_path, capsys, text, err):
+    path = tmp_path / "bad.graph"
+    path.write_text(text)
+    code = main(["reduce", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", err)
+
+
 def test_generate_random_fen_has_exact_fen(tmp_path, capsys):
     code, out = run(
         capsys,

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import geodetic
-from geodetic import fpt, reduction
+from geodetic import fpt, graph, reduction
 from geodetic.fpt import (
     OPTIMAL,
     UNKNOWN,
@@ -60,6 +60,24 @@ def test_single_vertex():
 def test_disconnected_rejected():
     with pytest.raises(DisconnectedError):
         solve_fpt(Graph(4, [(0, 1), (2, 3)]))
+
+
+def test_solve_searches_the_components_of_g_once(monkeypatch):
+    """The reduction's check is the only one on ``g``; the final certificate
+    does not search its components again."""
+    g = random_fen_graph(500, 4, random.Random(1))
+    calls = 0
+    real = graph.is_connected
+
+    def counting(h):
+        nonlocal calls
+        calls += h is g
+        return real(h)
+
+    for module in (fpt, reduction, graph):
+        monkeypatch.setattr(module, "is_connected", counting, raising=False)
+    assert solve_fpt(g).status == OPTIMAL
+    assert calls == 1
 
 
 def test_tree_route():

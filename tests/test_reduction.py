@@ -507,7 +507,8 @@ class _CountingLabels(dict):
 )
 def test_reduction_work_is_near_linear(monkeypatch, g: Graph):
     """Counts, not clock time: heap pushes stay linear in n plus the trace,
-    and full label scans come only from the segment rules."""
+    full label scans come only from the segment rules, and twin pops few
+    stale supports."""
     graphs: list[_CountingLabels] = []
     from_graph = MutableGraph.from_graph.__func__
 
@@ -525,8 +526,28 @@ def test_reduction_work_is_near_linear(monkeypatch, g: Graph):
         pushes += 1
         heappush(heap, item)
 
+    twin_heaps: list[list[int]] = []
+    twin_initial = 0
+
+    class RecordingWorklist(RuleWorklist):
+        def __init__(self, work: MutableGraph) -> None:
+            nonlocal twin_initial
+            super().__init__(work)
+            twin_heaps.append(self.twin)
+            twin_initial += len(self.twin)
+
+    twin_pops = 0
+    heappop = reduction.heappop
+
+    def counting_heappop(heap):
+        nonlocal twin_pops
+        twin_pops += any(heap is twin for twin in twin_heaps)
+        return heappop(heap)
+
     monkeypatch.setattr(MutableGraph, "from_graph", classmethod(counting_from_graph))
     monkeypatch.setattr(reduction, "heappush", counting_heappush)
+    monkeypatch.setattr(reduction, "heappop", counting_heappop)
+    monkeypatch.setattr(reduction, "RuleWorklist", RecordingWorklist)
     try:
         result = reduce_to_fixpoint(g)
     except _ScanBudgetExceeded:
@@ -539,3 +560,6 @@ def test_reduction_work_is_near_linear(monkeypatch, g: Graph):
     assert labels.scans <= 2 * segment_steps + 4
     assert pushes <= 3 * (g.n + len(result.trace))
     assert len(result.trace) >= g.n - 200
+    # a support is queued only once it holds two leaves, so few pops are stale
+    twins = sum(entry.rule == "twin" for entry in result.trace)
+    assert twin_pops <= twins + twin_initial
