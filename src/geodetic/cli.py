@@ -159,13 +159,13 @@ def cmd_verify(args) -> int:
         except ValueError:
             raise GraphFormatError(f"bad vertex id {tok!r} in {args.set}") from None
     chosen = sorted(ids)
+    for v in chosen:
+        if not 0 <= v < g.n:
+            raise GraphError(f"vertex id {v} out of range for n={g.n}")
     report = Report(args.quiet)
     report.line("command", "verify")
     report.line("input", args.graph)
     report.line("set", *chosen)
-    for v in chosen:
-        if not 0 <= v < g.n:
-            raise GraphError(f"vertex id {v} out of range for n={g.n}")
     # the closure of a disconnected graph is the union of its components'
     # closures; report the smallest uncovered vertex of the first component
     # that has one

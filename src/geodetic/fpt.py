@@ -4,19 +4,20 @@ The pipeline reduces the input to a fixpoint and then splits on what is
 left.  Trees and lone cycles are closed forms.  Everything else goes
 through guess enumeration: which unleafed branch vertices join the
 solution, and how many solution vertices sit in the interior of each
-segment they leave unleafed.  What a branch subset forces is worked out
-once, and each of its guesses lays only its counts over that record.  A
-guess fixes the candidate size outright and leaves only the exact
-placements open, which a small integer feasibility program decides.
-Before the program is built, every ordered pair of segment ends is tested
-at the lower corner of the placement ranges; a pair shut there is shut
-for every placement.  The guess is refuted when a target lies on no
-open pair's route (``cover``) or a fixed placement deeper than one step has
-no open pair leaving its end (``margin``).  Otherwise an open pair of two
-fixed placements claims its route outright, and the program holds a 0/1
-gate per open pair with a placed end and the placements of the single and
-pair segments, nothing else.  Guesses are processed by candidate size, so
-the first feasible one realizes the optimum of the reduced graph.
+segment they leave unleafed.  A guess is one record: a branch subset's
+record, what the subset forces, is worked out once with every count at 0,
+and each of its guesses lays its counts over a copy.  A guess fixes the
+candidate size outright and leaves only the exact placements open, which
+a small integer feasibility program decides.  Before the program is
+built, every ordered pair of segment ends is tested at the lower corner
+of the placement ranges; a pair shut there is shut for every placement.
+The guess is refuted when a target lies on no open pair's route
+(``cover``) or a fixed placement deeper than one step has no open pair
+leaving its end (``margin``).  Otherwise an open pair of two fixed
+placements claims its route outright, and the program holds a 0/1 gate
+per open pair with a placed end and the placements of the single and pair
+segments, nothing else.  Guesses are processed by candidate size, so the
+first feasible one realizes the optimum of the reduced graph.
 """
 
 from __future__ import annotations
@@ -60,21 +61,6 @@ SINGLE = "single"  # exactly one interior solution vertex
 PAIR = "pair"  # exactly two interior solution vertices
 
 _COUNT_CLASS = (EMPTY, SINGLE, PAIR)
-
-
-@dataclass(frozen=True)
-class GuessContext:
-    """One point of the guess space, as plain data.
-
-    ``chosen`` lists the unleafed branch vertices that join the solution;
-    ``interior_counts`` maps each unleafed segment with no chosen endpoint
-    to the number of solution vertices inside it.  ``record`` may carry
-    what ``chosen`` forces (see :func:`_subset_record`), outside comparisons.
-    """
-
-    chosen: tuple[int, ...]
-    interior_counts: tuple[tuple[int, int], ...]
-    record: AppliedGuess | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -122,22 +108,26 @@ class PreparedInstance:
 
 @dataclass
 class AppliedGuess:
-    """What a guess fixes on the fixpoint graph, which it leaves untouched.
+    """A guess and what it fixes on the fixpoint graph, which it leaves untouched.
 
-    ``forced``, the chosen branch vertices and the pinned supports, and
-    ``offsets`` depend on the branch subset alone; ``classes`` gives each
-    segment's class.  ``offsets[a]`` is anchor a's offset at the lower
-    corner of the placement ranges: on a leafed segment, the fixed distance
-    from that end to the nearest leafed position (a leaf of the fixpoint, a
-    chosen end or a pin); on any other, 1, the least its placement's
-    domain allows.  ``targets`` is the bitmask of what must lie on a
+    ``chosen`` lists the unleafed branch vertices that join the solution;
+    ``interior_counts`` maps each unleafed segment with no chosen endpoint
+    to the number of solution vertices inside it.  ``forced``, the chosen
+    branch vertices and the pinned supports, and ``offsets`` depend on the
+    branch subset alone; ``classes`` gives each segment's class.
+    ``offsets[a]`` is anchor a's offset at the lower corner of the
+    placement ranges: on a leafed segment, the fixed distance from that
+    end to the nearest leafed position (a leaf of the fixpoint, a chosen
+    end or a pin); on any other, 1, the least its placement's domain
+    allows.  ``targets`` is the bitmask of what must lie on a
     claimed route: bit i for an empty segment i with h >= 2, and bit
     ``len(paths) + j`` for ``open_branch[j]`` unchosen.  ``anchors`` lists,
     in increasing order, the anchors of the segments that are not empty:
     the ends between which routes can be claimed.
     """
 
-    ctx: GuessContext
+    chosen: tuple[int, ...]
+    interior_counts: tuple[tuple[int, int], ...]
     forced: tuple[int, ...]
     classes: tuple[str, ...]
     offsets: tuple[int, ...]
@@ -196,20 +186,34 @@ def prepare(work: MutableGraph, fed: FeedbackEdgeDecomposition) -> PreparedInsta
     return prep
 
 
+def _pin(prep: PreparedInstance, i: int, left: bool, right: bool) -> int | None:
+    """Where an unleafed segment i with its ``left`` or ``right`` end chosen
+    forces a pinned vertex, if its outside route is strictly shorter: at the
+    midpoint when both ends are chosen, else as deep as the chosen end covers."""
+    h, d = prep.h[i], prep.d[i]
+    if not (left or right) or h <= d:
+        return None
+    if left and right:
+        return h // 2
+    return (h + d) // 2 if left else h - (h + d) // 2
+
+
 def _base_size(prep: PreparedInstance, chosen: tuple[int, ...]) -> int:
-    """Candidate size of a subset's guess with every count at 0, without
-    its record: the leaves, the chosen vertices and the pins."""
+    """Candidate size of a subset's guess with every count at 0, before its
+    record is built: the leaves, the chosen vertices and the pins."""
     st, end = set(chosen), prep.end
     return prep.leaf_count + len(chosen) + sum(
-        prep.h[i] > prep.d[i] and (end[2 * i] in st or end[2 * i + 1] in st)
+        _pin(prep, i, end[2 * i] in st, end[2 * i + 1] in st) is not None
         for i in prep.empty_segments
     )
 
 
-def candidate_size(prep: PreparedInstance, ctx: GuessContext) -> int:
-    """Size every feasible candidate of this guess must have: its subset's
-    base size plus its count total."""
-    return _base_size(prep, ctx.chosen) + sum(c for _i, c in ctx.interior_counts)
+def candidate_size(prep: PreparedInstance, guess: AppliedGuess) -> int:
+    """Size every feasible candidate of this guess must have: the leaves,
+    the forced vertices and the count total."""
+    return prep.leaf_count + len(guess.forced) + sum(
+        c for _i, c in guess.interior_counts
+    )
 
 
 def _route_mask(prep: PreparedInstance, va: int, vb: int) -> int:
@@ -314,12 +318,10 @@ def _subset_record(prep: PreparedInstance, chosen: tuple[int, ...]) -> AppliedGu
     """What a branch subset forces, as its guess with every count at 0.
 
     Chosen branch vertices are forced and count as leafed.  An unleafed
-    segment with a chosen endpoint and a strictly shorter outside route
-    forces one more, pinned vertex: at the midpoint when both ends are
-    chosen, otherwise at the deepest position the chosen end can still
-    cover.  Forcing a vertex acts as a pendant leaf there would: a leaf l
-    at s has I(l, x) = {l} | I(s, x) and changes no other distance.  Every
-    other unleafed segment is counted, here empty.
+    segment with a chosen endpoint may force one more, pinned vertex, where
+    :func:`_pin` says.  Forcing a vertex acts as a pendant leaf there
+    would: a leaf l at s has I(l, x) = {l} | I(s, x) and changes no other
+    distance.  Every other unleafed segment is counted, here empty.
     """
     st = set(chosen)
     forced = list(chosen)
@@ -330,20 +332,15 @@ def _subset_record(prep: PreparedInstance, chosen: tuple[int, ...]) -> AppliedGu
     targets = 0
     for p in prep.fed.paths:
         i = p.index
-        h, d = prep.h[i], prep.d[i]
+        h = prep.h[i]
         left, right = prep.end[2 * i] in st, prep.end[2 * i + 1] in st
         positions = set(p.leaf_positions)
         if left:
             positions.add(0)
         if right:
             positions.add(h)
-        if positions and not p.leaf_positions and h > d:
-            if left and right:
-                pos = h // 2
-            elif left:
-                pos = (h + d) // 2
-            else:
-                pos = h - (h + d) // 2
+        pos = None if p.leaf_positions else _pin(prep, i, left, right)
+        if pos is not None:
             forced.append(p.vertices[pos])
             positions.add(pos)
         if positions:
@@ -359,27 +356,32 @@ def _subset_record(prep: PreparedInstance, chosen: tuple[int, ...]) -> AppliedGu
     for j, v in enumerate(prep.open_branch):
         if v not in st:
             targets |= 1 << (len(classes) + j)
-    zero = GuessContext(chosen, tuple(counts))
     return AppliedGuess(
-        zero, tuple(forced), tuple(classes), tuple(offsets), targets, tuple(anchors)
+        chosen, tuple(counts), tuple(forced), tuple(classes), tuple(offsets),
+        targets, tuple(anchors),
     )
 
 
-def apply_guess(prep: PreparedInstance, ctx: GuessContext) -> AppliedGuess:
-    """Lay a guess's counts over its subset's record: a segment counted
-    above 0 turns single or pair, stops being a target and adds anchors."""
-    record = ctx.record or _subset_record(prep, ctx.chosen)
+def apply_guess(
+    prep: PreparedInstance, record: AppliedGuess, counts: tuple[int, ...]
+) -> AppliedGuess:
+    """The guess of a subset's record with ``counts``, one per counted
+    segment in ``record.interior_counts`` order, laid over it: a segment
+    counted above 0 turns single or pair, stops being a target and adds
+    anchors."""
     classes = list(record.classes)
     targets = record.targets
     anchors = list(record.anchors)
-    for i, c in ctx.interior_counts:
+    interior = tuple((i, c) for (i, _zero), c in zip(record.interior_counts, counts))
+    for i, c in interior:
         if c:
             classes[i] = _COUNT_CLASS[c]
             targets &= ~(1 << i)
             anchors += (2 * i, 2 * i + 1)
     anchors.sort()
     return AppliedGuess(
-        ctx, record.forced, tuple(classes), record.offsets, targets, tuple(anchors)
+        record.chosen, interior, record.forced, tuple(classes),
+        record.offsets, targets, tuple(anchors),
     )
 
 
@@ -527,7 +529,7 @@ def reconstruct(
                 f"segment {i} holds two vertices but its placements are {lo} and {hi}"
             )
         solution.update((path.vertices[lo], path.vertices[hi]))
-    size = candidate_size(prep, applied.ctx)
+    size = candidate_size(prep, applied)
     if len(solution) != size:
         raise VerificationError(
             f"reconstructed solution has {len(solution)} vertices, the guess {size}"
@@ -568,7 +570,7 @@ def _count_tuples(caps: tuple[int, ...], total: int) -> Iterator[tuple[int, ...]
 
 def _effective_items(
     prep: PreparedInstance,
-) -> Iterator[tuple[int, tuple, GuessContext]]:
+) -> Iterator[tuple[int, tuple, AppliedGuess]]:
     """Every guess once, lazily, by candidate size then guess order.
 
     Guess order takes branch subsets by size then numeric pattern, and
@@ -579,11 +581,11 @@ def _effective_items(
     A heap keyed by ``(size, subset size, pattern)`` holds one entry per
     subset, for its next count total; the size, the subset's base size plus
     that total, is the one yielded.  Popping an entry yields the total's
-    count tuples and pushes the next total.  Subsets of size p enter the
-    heap only when its smallest size reaches ``leaf_count + p``, the least
-    any of them can have, so memory stays bounded by the subsets opened so
-    far.  The subset's record is built at its first pop and kept in its
-    entry, and each of its guesses carries it.
+    guesses and pushes the next total.  Subsets of size p enter the heap
+    only when its smallest size reaches ``leaf_count + p``, the least any
+    of them can have, so memory stays bounded by the subsets opened so far.
+    The subset's record is built at its first pop and kept in its entry,
+    and each of its guesses is that record with its counts laid over it.
     """
     nb = len(prep.open_branch)
     heap: list[tuple] = []
@@ -601,11 +603,10 @@ def _effective_items(
         size, popcount, mask, total, chosen, record = heapq.heappop(heap)
         if record is None:
             record = _subset_record(prep, chosen)
-        free = [i for i, _c in record.ctx.interior_counts]
-        caps = tuple(min(2, prep.h[i] - 1) for i in free)
+        caps = tuple(min(2, prep.h[i] - 1) for i, _c in record.interior_counts)
         for counts in _count_tuples(caps, total):
-            ctx = GuessContext(chosen, tuple(zip(free, counts)), record)
-            yield size, (popcount, mask, total, counts), ctx
+            guess = apply_guess(prep, record, counts)
+            yield size, (popcount, mask, total, counts), guess
         if total < sum(caps):
             heapq.heappush(heap, (size + 1, popcount, mask, total + 1, chosen, record))
 
@@ -622,12 +623,11 @@ OUTCOMES = (
 
 
 def _process_guess(
-    prep: PreparedInstance, ctx: GuessContext, node_budget: int | None
+    prep: PreparedInstance, applied: AppliedGuess, node_budget: int | None
 ) -> tuple[str, int, IlpModel | None, tuple[int, ...] | None]:
     """Decide one guess: its outcome (see ``OUTCOMES``), the ILP nodes it
     took, the model it solved if any and, when feasible, the certified
     solution of the fixpoint graph."""
-    applied = apply_guess(prep, ctx)
     refuted = refute_guess(prep, applied)
     if refuted is not None:
         return f"guesses_refuted_{refuted}", 0, None, None
@@ -655,8 +655,8 @@ def _solve_guesses(
     min_exhausted: int | None = None
     nodes_total = vars_max = rows_max = 0
     outcomes = dict.fromkeys(OUTCOMES, 0)
-    for size, _seq, ctx in _effective_items(prep):
-        kind, nodes, model, witness = _process_guess(prep, ctx, node_budget)
+    for size, _seq, guess in _effective_items(prep):
+        kind, nodes, model, witness = _process_guess(prep, guess, node_budget)
         nodes_total += nodes
         outcomes[kind] += 1
         if model is not None:
@@ -669,9 +669,8 @@ def _solve_guesses(
             break
     if best is None and min_exhausted is None:
         raise AssertionError("guess space exhausted without a feasible candidate")
-    status = OPTIMAL
-    if best is None or (min_exhausted is not None and min_exhausted < best):
-        status = UNKNOWN
+    # sizes never fall, so min_exhausted <= best when both are set
+    status = OPTIMAL if min_exhausted in (None, best) else UNKNOWN
     stats = {
         "guesses_generated": sum(outcomes.values()),
         "ilp_nodes": nodes_total,
@@ -694,10 +693,12 @@ def solve_fpt(
     ``k`` only affects the reported yes/no answer.  ``node_budget`` caps
     the search effort per guess; when it bites, the status degrades to
     unknown and ``optimum`` is None.  A witness found even so is still
-    verified and returned, as an upper bound: it answers yes when it has
-    at most k vertices.  A witness that fails its check, on the reduced
-    graph or on ``g``, raises :class:`~geodetic.graph.VerificationError`.
-    A disconnected ``g`` raises :class:`~geodetic.graph.DisconnectedError`
+    verified and returned, as an upper bound.  The answer is yes when the
+    witness has at most k vertices, no when the optimum is known or every
+    candidate of at most k vertices was refuted or found infeasible, else
+    None.  A witness that fails its check, on the reduced graph or on
+    ``g``, raises :class:`~geodetic.graph.VerificationError`.  A
+    disconnected ``g`` raises :class:`~geodetic.graph.DisconnectedError`
     from the reduction, which searches its components once.
     """
     if g.n == 0:
@@ -727,25 +728,23 @@ def solve_fpt(
         prep = prepare(red.graph, red.decomposition)
         status, size_r, witness_r, lower, gstats = _solve_guesses(prep, node_budget)
         stats.update(gstats)
-    if size_r is None:
-        answer = None
-        if k is not None and lower is not None and lower + red.k_decrease > k:
-            answer = False
-        return SolveResult(UNKNOWN, None, None, answer, algorithm, stats)
-    witness = lift_witness(red.trace, witness_r)
-    size = size_r + red.k_decrease
-    if len(witness) != size:
-        raise VerificationError(
-            f"lifted witness has {len(witness)} vertices, optimum is {size}"
-        )
-    # the reduction found g connected, so no second component search
-    if len(interval_closure(g, witness)) != g.n:
-        raise VerificationError(f"lifted witness {witness} is not geodetic")
+    witness = None
+    if size_r is not None:
+        witness = lift_witness(red.trace, witness_r)
+        size = size_r + red.k_decrease
+        if len(witness) != size:
+            raise VerificationError(
+                f"lifted witness has {len(witness)} vertices, optimum is {size}"
+            )
+        # the reduction found g connected, so no second component search
+        if len(interval_closure(g, witness)) != g.n:
+            raise VerificationError(f"lifted witness {witness} is not geodetic")
+    # every guess below lower, when set, was refuted or found infeasible
     answer: bool | None = None
     if k is not None:
-        if len(witness) <= k:
+        if witness is not None and len(witness) <= k:
             answer = True
-        elif status == OPTIMAL:
+        elif status == OPTIMAL or (lower is not None and lower + red.k_decrease > k):
             answer = False
-    optimum = size if status == OPTIMAL else None
+    optimum = len(witness) if status == OPTIMAL else None
     return SolveResult(status, optimum, witness, answer, algorithm, stats)

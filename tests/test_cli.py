@@ -153,8 +153,12 @@ def test_verify_out_of_range_is_an_error(tmp_path, capsys):
     graph = write_graph(tmp_path, "p4.graph", path_graph(4))
     bad = tmp_path / "oob.set"
     bad.write_text("0 9\n")
-    code, _out = run(capsys, ["verify", graph, str(bad)])
+    code = main(["verify", graph, str(bad)])
+    captured = capsys.readouterr()
+    # the id is rejected before any report line is printed
     assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error vertex id 9 out of range for n=4\n"
 
 
 def test_verify_malformed_set_is_an_error(tmp_path, capsys):

@@ -19,7 +19,6 @@ from geodetic.fpt import (
     OPTIMAL,
     UNKNOWN,
     _effective_items,
-    apply_guess,
     candidate_size,
     emit_ilp,
     prepare,
@@ -36,6 +35,7 @@ from geodetic.reduction import MutableGraph, reduce_to_fixpoint
 from conftest import complete_graph, cycle_graph, path_graph, star_graph, theta_graph
 from test_fpt_reference import (
     raw_guess_count,
+    reference_candidate_size,
     reference_graft,
     reference_record,
     row_shut,
@@ -140,8 +140,7 @@ def perturbed_placement_errors() -> dict[str, str]:
     assignments are the first feasible ones of seeded kernels."""
     errors: dict[str, str] = {}
     for prep in seeded_kernels(40, 30, 3):
-        for _size, _seq, ctx in _effective_items(prep):
-            applied = apply_guess(prep, ctx)
+        for _size, _seq, applied in _effective_items(prep):
             if refute_guess(prep, applied) is not None:
                 continue
             model, placed = emit_ilp(prep, applied)
@@ -217,7 +216,7 @@ def test_theta_graph_optimum():
 
 
 def guesses(prep):
-    return [ctx for _size, _seq, ctx in _effective_items(prep)]
+    return [guess for _size, _seq, guess in _effective_items(prep)]
 
 
 def test_guess_count_is_full_product():
@@ -244,7 +243,7 @@ def test_guess_count_is_full_product():
         for chosen, kept in shapes
         if all(c < prep.fed.paths[i].h for i, c in kept)
     }
-    effective = [(ctx.chosen, ctx.interior_counts) for ctx in guesses(prep)]
+    effective = [(g.chosen, g.interior_counts) for g in guesses(prep)]
     assert len(effective) == len(set(effective)) == 15
     assert set(effective) == holdable
 
@@ -264,17 +263,17 @@ def test_guess_count_with_leafed_segment():
 def test_guess_order_subsets_then_counts():
     _, prep = prepared(theta_graph((2, 2, 3)))
     items = list(_effective_items(prep))
-    keys = [(size, seq) for size, seq, _ctx in items]
+    keys = [(size, seq) for size, seq, _guess in items]
     assert keys == sorted(keys)
-    in_seq = [ctx for _size, _seq, ctx in sorted(items, key=lambda t: t[1])]
-    subsets = [len(ctx.chosen) for ctx in in_seq]
+    in_seq = [guess for _size, _seq, guess in sorted(items, key=lambda t: t[1])]
+    subsets = [len(guess.chosen) for guess in in_seq]
     assert subsets == sorted(subsets)
     assert len(set(subsets)) > 1
-    for chosen in {ctx.chosen for ctx in in_seq}:
+    for chosen in {guess.chosen for guess in in_seq}:
         counts = [
-            tuple(n for _, n in ctx.interior_counts)
-            for _size, _seq, ctx in items
-            if ctx.chosen == chosen
+            tuple(n for _, n in guess.interior_counts)
+            for _size, _seq, guess in items
+            if guess.chosen == chosen
         ]
         assert counts == sorted(counts, key=lambda t: (sum(t), t))
 
@@ -286,10 +285,10 @@ def test_guess_stream_is_lazy():
     rungs = [(i, i + 40) for i in range(40)]
     _, prep = prepared(Graph(80, rails + rungs))
     assert len(prep.open_branch) == 76
-    size, _seq, ctx = next(_effective_items(prep))
-    assert ctx.chosen == ()
-    assert len(ctx.interior_counts) == len(prep.empty_segments)
-    assert all(c == 0 for _i, c in ctx.interior_counts)
+    size, _seq, guess = next(_effective_items(prep))
+    assert guess.chosen == ()
+    assert len(guess.interior_counts) == len(prep.empty_segments)
+    assert all(c == 0 for _i, c in guess.interior_counts)
     assert size == prep.leaf_count
 
 
@@ -302,10 +301,9 @@ def test_guess_record_matches_grafted_reference():
     for prep in seeded_kernels(37, 60, 2):
         if raw_guess_count(prep) > 3_000:
             continue
-        for _size, _seq, ctx in _effective_items(prep):
-            applied = apply_guess(prep, ctx)
-            work, _trace = reference_graft(prep, ctx)
-            fixed, targets = reference_record(prep, ctx, work)
+        for _size, _seq, applied in _effective_items(prep):
+            work, _trace = reference_graft(prep, applied)
+            fixed, targets = reference_record(prep, applied, work)
             anchors = range(len(applied.offsets))
             leafed = [a for a in anchors if applied.classes[a // 2] == fpt.LEAFED]
             assert leafed == sorted(fixed)
@@ -317,29 +315,12 @@ def test_guess_record_matches_grafted_reference():
     assert guesses_seen > 3_000 and deep_seen > 5_000, (guesses_seen, deep_seen)
 
 
-def test_guesses_without_a_subset_record_decide_alike():
-    # a plain GuessContext carries no subset record, so apply_guess and
-    # candidate_size work out what its branch subset forces themselves
-    seen = counted = 0
-    for prep in seeded_kernels(41, 30, 2):
-        for size, _seq, ctx in islice(_effective_items(prep), 400):
-            plain = fpt.GuessContext(ctx.chosen, ctx.interior_counts)
-            assert plain.record is None and ctx.record is not None
-            assert plain == ctx
-            assert apply_guess(prep, plain) == apply_guess(prep, ctx)
-            assert candidate_size(prep, plain) == candidate_size(prep, ctx) == size
-            seen += 1
-            counted += any(c for _i, c in ctx.interior_counts)
-    # 5727 guesses on 30 kernels, 5235 of them with a count above 0
-    assert seen > 5_000 and counted > 4_000, (seen, counted)
-
-
 def test_guess_leaves_do_not_change_branch_distances():
     # forcing a vertex stands for a pendant leaf there, which must leave the
     # branch distances that emit_ilp reads as they are
     _, prep = prepared(theta_graph((2, 3, 4)))
-    for ctx in guesses(prep):
-        work, _trace = reference_graft(prep, ctx)
+    for guess in guesses(prep):
+        work, _trace = reference_graft(prep, guess)
         for b in prep.fed.branch_vertices:
             after = work.bfs(b)
             for c in prep.fed.branch_vertices:
@@ -384,14 +365,29 @@ def test_prepare_reuses_the_segment_rules_bfs_rows(monkeypatch):
 
 def test_candidate_size_matches_reconstruction():
     _, prep = prepared(theta_graph((2, 3, 4)))
-    for ctx in guesses(prep):
-        applied = apply_guess(prep, ctx)
-        model, placed = emit_ilp(prep, applied)
+    for guess in guesses(prep):
+        model, placed = emit_ilp(prep, guess)
         res = solve_ilp(model)
         if res.status != FEASIBLE:
             continue
-        solution = reconstruct(prep, applied, res.assignment, placed)
-        assert len(solution) == candidate_size(prep, ctx)
+        solution = reconstruct(prep, guess, res.assignment, placed)
+        assert len(solution) == candidate_size(prep, guess)
+    # every guess the stream yields on seeded kernels, feasible or not: the
+    # size the heap keys by, worked out before the subset's record is built,
+    # is the record's leaves, forced vertices and count total, and the
+    # reference's segment-by-segment sum
+    seen = pinned = 0
+    for prep in seeded_kernels(41, 30, 2):
+        for size, _seq, guess in islice(_effective_items(prep), 400):
+            total = sum(c for _i, c in guess.interior_counts)
+            assert size == candidate_size(prep, guess), guess
+            assert size == prep.leaf_count + len(guess.forced) + total, guess
+            assert size == reference_candidate_size(
+                prep, guess.chosen, guess.interior_counts
+            ), guess
+            seen += 1
+            pinned += len(guess.forced) > len(guess.chosen)
+    assert seen > 5_000 and pinned > 0, (seen, pinned)
 
 
 def test_matches_oracle_on_random_graphs(rng):
@@ -467,6 +463,8 @@ def test_budget_exhaustion_degrades_to_unknown():
     assert len(res.witness) == 7 and is_geodetic(g, res.witness)
     assert solve_fpt(g, 7, node_budget=1).answer is True
     assert solve_fpt(g, 6, node_budget=1).answer is None
+    # every guess below size 6 was refuted or infeasible: a definite no
+    assert solve_fpt(g, 5, node_budget=1).answer is False
     assert res.stats["ilp_budget_exhausted"] > 0
     # a generous budget restores the exact answer
     res = solve_fpt(g, node_budget=100000)
@@ -529,7 +527,7 @@ def test_refuted_guesses_build_no_ilp(monkeypatch):
     real = fpt.emit_ilp
 
     def counting(prep, applied):
-        built.append(applied.ctx)
+        built.append(applied)
         return real(prep, applied)
 
     monkeypatch.setattr(fpt, "emit_ilp", counting)
@@ -601,7 +599,7 @@ def test_route_masks_are_computed_once_per_pair(monkeypatch):
         return preps[-1]
 
     def counting_emit(prep, applied):
-        built.append(applied.ctx)
+        built.append(applied)
         return real_emit(prep, applied)
 
     monkeypatch.setattr(fpt, "_route_mask", counting_mask)

@@ -1,15 +1,18 @@
-"""The lazy guess stream, the memoised ILP rows and the read-only guesses
+"""The lazy guess stream, the memoised ILP rows and the guess records
 against the code they replaced, and each guess's model against what it
 must mean.
 
 ``eager_items`` is the guess list the solver used to build and sort in
-full (with the segment-by-segment ``reference_candidate_size``), and
-``pairwise_emit_ilp`` the model builder that rescanned every ordered anchor
-pair for each covered target; the model the solver builds must search like
-it.  ``reference_graft``, ``reference_record`` and
+full, each guess a plain ``(chosen, interior_counts)`` pair sized by the
+segment-by-segment ``reference_candidate_size``; the stream's records
+must match it in chosen set, counts, size and order.
+``pairwise_emit_ilp`` is the model builder that rescanned every ordered
+anchor pair for each covered target; the model the solver builds must
+search like it.  ``reference_graft``, ``reference_record`` and
 ``reference_reconstruct`` are the guess application that copied the
 fixpoint graph, hung a leaf on every forced vertex and read the offsets,
-targets and solution off that grafted copy.  ``reference_cross_shut``
+targets and solution off that grafted copy; they read a guess record's
+``chosen`` and ``interior_counts`` only.  ``reference_cross_shut``
 compares the through route with the three detours one by one, and
 ``pairwise_refute_guess`` looks each ordered anchor pair up on its own.
 They are kept here as the references for
@@ -33,11 +36,9 @@ from geodetic.fpt import (
     EMPTY,
     LEAFED,
     SINGLE,
-    GuessContext,
     _effective_items,
     _route_mask,
     _self_shut,
-    apply_guess,
     emit_ilp,
     prepare,
     reconstruct,
@@ -54,8 +55,8 @@ from geodetic.reduction import (
 )
 
 
-def reference_graft(prep, ctx):
-    """Reference: a copy of the fixpoint graph with the guess grafted on,
+def reference_graft(prep, guess):
+    """Reference: a copy of the fixpoint graph with ``guess`` grafted on,
     and the trace of the leaves it hung.
 
     Chosen branch vertices get a stand-in leaf.  An unleafed segment with
@@ -63,7 +64,7 @@ def reference_graft(prep, ctx):
     pinned leaf: at the midpoint when both ends are chosen, otherwise at
     the deepest position the chosen end can still cover.
     """
-    st = set(ctx.chosen)
+    st = set(guess.chosen)
     work = MutableGraph()
     for v in prep.work.labels():
         work.add_vertex(v)
@@ -72,7 +73,7 @@ def reference_graft(prep, ctx):
             if u < v:
                 work.add_edge(u, v)
     trace = []
-    for v in ctx.chosen:
+    for v in guess.chosen:
         leaf = work.attach_leaf(v)
         # lift_witness undoes a pin by putting the support back in place of
         # the leaf, which is all a stand-in leaf needs
@@ -99,8 +100,8 @@ def reference_graft(prep, ctx):
     return work, trace
 
 
-def reference_record(prep, ctx, work):
-    """Reference: what the grafted copy ``work`` fixes for a guess.
+def reference_record(prep, guess, work):
+    """Reference: what the grafted copy ``work`` fixes for ``guess``.
 
     Returns the offset of each end 2*i + r of every segment i that carries
     a leafed vertex, the distance from that end to the nearest one, and the
@@ -108,7 +109,7 @@ def reference_record(prep, ctx, work):
     leafed vertex and an interior count of 0, and bit ``len(paths) + j``
     for ``open_branch[j]`` when the guess hung no leaf on it.
     """
-    counts = dict(ctx.interior_counts)
+    counts = dict(guess.interior_counts)
     fixed = {}
     targets = 0
     for i, p in enumerate(prep.fed.paths):
@@ -145,11 +146,11 @@ def geodetic_on(work, solution):
     return is_geodetic(graph, [index[v] for v in solution])
 
 
-def reference_candidate_size(prep, ctx):
+def reference_candidate_size(prep, chosen, interior_counts):
     """Reference: the candidate size summed segment by segment."""
-    st = set(ctx.chosen)
-    counts = dict(ctx.interior_counts)
-    size = prep.leaf_count + len(ctx.chosen)
+    st = set(chosen)
+    counts = dict(interior_counts)
+    size = prep.leaf_count + len(chosen)
     for p in prep.fed.paths:
         if p.leaf_positions:
             continue
@@ -162,7 +163,8 @@ def reference_candidate_size(prep, ctx):
 
 
 def eager_items(prep):
-    """Reference: every guess built up front, sorted by (size, seq)."""
+    """Reference: every guess built up front as a plain ``(chosen,
+    interior_counts)`` pair, sorted by (size, seq)."""
     items = []
     seq = 0
     masks = sorted(
@@ -181,18 +183,20 @@ def eager_items(prep):
             itertools.product((0, 1, 2), repeat=len(free)),
             key=lambda t: (sum(t), t),
         ):
-            ctx = GuessContext(chosen, tuple(zip(free, assign)))
-            items.append((reference_candidate_size(prep, ctx), seq, ctx))
+            counts = tuple(zip(free, assign))
+            size = reference_candidate_size(prep, chosen, counts)
+            items.append((size, seq, (chosen, counts)))
             seq += 1
     items.sort(key=lambda t: (t[0], t[1]))
     return items
 
 
-def structurally_possible(prep, ctx):
-    """The rule the solver once applied after building a guess: a segment
-    of length h holds one interior vertex only if h >= 2, two only if h >= 3.
-    Counted segments are exactly those classed single or pair by the guess."""
-    return all(c < prep.fed.paths[i].h for i, c in ctx.interior_counts)
+def structurally_possible(prep, guess):
+    """The rule the solver once applied after building a guess, given as a
+    ``(chosen, interior_counts)`` pair: a segment of length h holds one
+    interior vertex only if h >= 2, two only if h >= 3.  Counted segments
+    are exactly those classed single or pair by the guess."""
+    return all(c < prep.fed.paths[i].h for i, c in guess[1])
 
 
 def pairwise_emit_ilp(prep, applied):
@@ -200,7 +204,7 @@ def pairwise_emit_ilp(prep, applied):
     fed = prep.fed
     dist = prep.dist
     classes = applied.classes
-    work = reference_graft(prep, applied.ctx)[0]
+    work = reference_graft(prep, applied)[0]
     big = 100 * work.m
     active = [i for i, c in enumerate(classes) if c != EMPTY]
     sweep = [i for i, c in enumerate(classes) if c == EMPTY]
@@ -227,7 +231,7 @@ def pairwise_emit_ilp(prep, applied):
     for pair in z_cross:
         if classes[pair[0] // 2] != LEAFED or classes[pair[1] // 2] != LEAFED:
             helper[pair] = tuple(model.add_variable(0, 1) for _ in range(3))
-    fixed, _targets = reference_record(prep, applied.ctx, work)
+    fixed, _targets = reference_record(prep, applied, work)
     placed = {}
     for i in active:
         h = fed.paths[i].h
@@ -331,7 +335,7 @@ def pairwise_emit_ilp(prep, applied):
                 terms.append((gate, 1))
         model.add_constraint(terms, ">=", 1)
 
-    chosen = set(applied.ctx.chosen)
+    chosen = set(applied.chosen)
     for v in prep.open_branch:
         if v in chosen:
             continue
@@ -473,9 +477,12 @@ def test_stream_matches_eager_reference():
     for prep in kernels:
         eager = eager_items(prep)
         kept = [t for t in eager if structurally_possible(prep, t[2])]
-        stream = list(_effective_items(prep))
-        assert [(size, ctx) for size, _seq, ctx in stream] == [
-            (size, ctx) for size, _seq, ctx in kept
+        stream = [
+            (size, seq, (guess.chosen, guess.interior_counts))
+            for size, seq, guess in _effective_items(prep)
+        ]
+        assert [(size, guess) for size, _seq, guess in stream] == [
+            (size, guess) for size, _seq, guess in kept
         ]
         # seq sorts the stream into the reference's guess order
         assert [t[2] for t in sorted(stream, key=lambda t: t[1])] == [
@@ -506,15 +513,14 @@ def test_models_are_feasible_exactly_at_geodetic_placements():
     # a refuted guess is geodetic.
     seen = collections.Counter()
     for prep in seeded_kernels(32, 120, 0) + seeded_kernels(33, 120, 2):
-        for _size, _seq, ctx in itertools.islice(_effective_items(prep), 40):
-            applied = apply_guess(prep, ctx)
+        for _size, _seq, applied in itertools.islice(_effective_items(prep), 40):
             model, placed = emit_ilp(prep, applied)
             box = [range(1, prep.h[a >> 1] + 1) for a in placed]
             if math.prod(map(len, box)) > 200:
                 seen["skipped"] += 1
                 continue
             refuted = refute_guess(prep, applied) is not None
-            work = reference_graft(prep, ctx)[0]
+            work = reference_graft(prep, applied)[0]
             graph, labels = work.to_graph()
             index = {lab: j for j, lab in enumerate(labels)}
             for point in itertools.product(*box):
@@ -526,14 +532,14 @@ def test_models_are_feasible_exactly_at_geodetic_placements():
                 feasible = solve_ilp(pinned).status == FEASIBLE
                 seen["points"] += 1
                 if not in_class(prep, applied, x):
-                    assert not feasible, (ctx, x)
+                    assert not feasible, (applied, x)
                     continue
                 candidate = reference_reconstruct(
                     prep, applied, work, assignment, placed
                 )
                 geodetic = is_geodetic(graph, [index[v] for v in candidate])
-                assert feasible == geodetic, (ctx, x)
-                assert not (refuted and geodetic), (ctx, x)
+                assert feasible == geodetic, (applied, x)
+                assert not (refuted and geodetic), (applied, x)
                 seen["refuted" if refuted else "geodetic" if geodetic else "not"] += 1
             seen["guesses"] += 1
     assert seen["guesses"] > 5_000 and seen["points"] > 90_000, seen
@@ -549,8 +555,7 @@ def test_grafted_solutions_lift_to_kernel_solutions():
     # outside the solution
     verdicts = [0, 0]
     for prep in seeded_kernels(32, 200, 0):
-        for _size, _seq, ctx in _effective_items(prep):
-            applied = apply_guess(prep, ctx)
+        for _size, _seq, applied in _effective_items(prep):
             if refute_guess(prep, applied) is not None:
                 continue
             model, placed = emit_ilp(prep, applied)
@@ -558,7 +563,7 @@ def test_grafted_solutions_lift_to_kernel_solutions():
             if res.status == FEASIBLE:
                 break
         assert res.status == FEASIBLE
-        work, trace = reference_graft(prep, ctx)
+        work, trace = reference_graft(prep, applied)
         grafted = reference_reconstruct(prep, applied, work, res.assignment, placed)
         solution = reconstruct(prep, applied, res.assignment, placed)
         assert lift_witness(trace, grafted) == solution
@@ -580,15 +585,14 @@ def test_compact_model_searches_like_the_full_model():
     # nodes
     solved = fewer = 0
     for prep in seeded_kernels(32, 200, 0):
-        for _size, _seq, ctx in _effective_items(prep):
-            applied = apply_guess(prep, ctx)
+        for _size, _seq, applied in _effective_items(prep):
             if refute_guess(prep, applied) is not None:
                 continue
             model, placed = emit_ilp(prep, applied)
             full_model, full_placed = pairwise_emit_ilp(prep, applied)
             res, full = solve_ilp(model), solve_ilp(full_model)
-            assert res.status == full.status, ctx
-            assert res.nodes <= full.nodes, ctx
+            assert res.status == full.status, applied
+            assert res.nodes <= full.nodes, applied
             solved += 1
             fewer += res.nodes < full.nodes
             if res.status == FEASIBLE:
@@ -610,8 +614,7 @@ def test_models_hold_only_gates_and_placements():
     # rows that some values in the domains break
     models = placements = detours = 0
     for prep in seeded_kernels(37, 60, 2):
-        for _size, _seq, ctx in _effective_items(prep):
-            applied = apply_guess(prep, ctx)
+        for _size, _seq, applied in _effective_items(prep):
             if refute_guess(prep, applied) is not None:
                 continue
             model, placed = emit_ilp(prep, applied)
@@ -633,7 +636,7 @@ def test_models_hold_only_gates_and_placements():
             # with a gate term c * gate, c > 0, is a detour row
             for coeffs, rhs in model.constraints:
                 most = sum(c * model.variables[v][c > 0] for v, c in coeffs)
-                assert most > rhs, (ctx, coeffs, rhs)
+                assert most > rhs, (applied, coeffs, rhs)
                 detours += any(v < gates and c > 0 for v, c in coeffs)
             models += 1
             placements += len(placed)
@@ -656,14 +659,13 @@ def test_refuted_guesses_are_infeasible_at_the_ilp_root():
             continue
         kernels += 1
         prep = prepare(red.graph, red.decomposition)
-        for _size, _seq, ctx in itertools.islice(_effective_items(prep), 80):
-            applied = apply_guess(prep, ctx)
+        for _size, _seq, applied in itertools.islice(_effective_items(prep), 80):
             kind = refute_guess(prep, applied)
             kinds[kind] += 1
             # a zero budget stops the search right after root propagation
             res = solve_ilp(emit_ilp(prep, applied)[0], node_budget=0)
             root_infeasible = (res.status, res.nodes) == (INFEASIBLE, 0)
-            assert root_infeasible == (kind is not None), (kind, ctx)
+            assert root_infeasible == (kind is not None), (kind, applied)
     assert min(kinds["cover"], kinds["margin"]) >= 20, kinds
     assert kinds[None] >= 200, kinds
 
@@ -702,10 +704,9 @@ def test_refutation_matches_pairwise_reference():
     kinds = collections.Counter()
     for prep in kernels:
         memo = {}
-        for _size, _seq, ctx in _effective_items(prep):
-            applied = apply_guess(prep, ctx)
+        for _size, _seq, applied in _effective_items(prep):
             kind = refute_guess(prep, applied)
-            assert kind == pairwise_refute_guess(prep, applied, memo), ctx
+            assert kind == pairwise_refute_guess(prep, applied, memo), applied
             kinds[kind] += 1
             if kind is None and solve_ilp(emit_ilp(prep, applied)[0]).status == FEASIBLE:
                 break

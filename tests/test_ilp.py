@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from geodetic.fpt import _effective_items, apply_guess, emit_ilp, prepare
+from geodetic.fpt import _effective_items, emit_ilp, prepare
 from geodetic.generators import random_fen_graph
 from geodetic.ilp import (
     BUDGET_EXHAUSTED,
@@ -409,8 +409,8 @@ def test_row_queue_matches_full_sweep_on_emitted_models():
         if red.decomposition is None:
             continue
         prep = prepare(red.graph, red.decomposition)
-        for _size, _seq, ctx in itertools.islice(_effective_items(prep), 40):
-            model, _placed = emit_ilp(prep, apply_guess(prep, ctx))
+        for _size, _seq, guess in itertools.islice(_effective_items(prep), 40):
+            model, _placed = emit_ilp(prep, guess)
             for budget in BUDGETS:
                 got = solve(model, node_budget=budget)
                 assert got == reference_solve(model, node_budget=budget)
