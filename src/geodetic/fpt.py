@@ -362,9 +362,7 @@ def _subset_record(prep: PreparedInstance, chosen: tuple[int, ...]) -> AppliedGu
     )
 
 
-def apply_guess(
-    prep: PreparedInstance, record: AppliedGuess, counts: tuple[int, ...]
-) -> AppliedGuess:
+def apply_guess(record: AppliedGuess, counts: tuple[int, ...]) -> AppliedGuess:
     """The guess of a subset's record with ``counts``, one per counted
     segment in ``record.interior_counts`` order, laid over it: a segment
     counted above 0 turns single or pair, stops being a target and adds
@@ -605,7 +603,7 @@ def _effective_items(
             record = _subset_record(prep, chosen)
         caps = tuple(min(2, prep.h[i] - 1) for i, _c in record.interior_counts)
         for counts in _count_tuples(caps, total):
-            guess = apply_guess(prep, record, counts)
+            guess = apply_guess(record, counts)
             yield size, (popcount, mask, total, counts), guess
         if total < sum(caps):
             heapq.heappush(heap, (size + 1, popcount, mask, total + 1, chosen, record))

@@ -31,6 +31,7 @@ from itertools import product
 
 from geodetic.graph import (
     Graph,
+    VerificationError,
     connected_components,
     diameter,
     induced_subgraph,
@@ -192,8 +193,11 @@ def build_gadget(
                     add_gadget(horizontal, i, j, copy)
 
     graph = Graph(counter, edges)
-    assert graph.n == expected_vertex_count(k, m, n)
-    assert graph.m == expected_edge_count(k, m, n)
+    want = (expected_vertex_count(k, m, n), expected_edge_count(k, m, n))
+    if (graph.n, graph.m) != want:
+        raise VerificationError(
+            f"gadget has (n, m) = ({graph.n}, {graph.m}), the formulas give {want}"
+        )
     return GadgetGraph(
         graph=graph,
         instance=inst,
@@ -222,7 +226,10 @@ def canonical_solution(
             entry = solution[i - 1][j - 1]
             eta = inst.tiles[i - 1][j - 1].index(entry) + 1
             chosen.append(gadget.tile_ids[(i, j, eta)])
-    assert len(chosen) == gadget.k_prime
+    if len(chosen) != gadget.k_prime:
+        raise VerificationError(
+            f"canonical set has {len(chosen)} vertices, not {gadget.k_prime}"
+        )
     return tuple(sorted(chosen))
 
 

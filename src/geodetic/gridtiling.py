@@ -13,6 +13,8 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
+from geodetic.graph import VerificationError
+
 Entry = tuple[int, int]
 Solution = tuple[tuple[Entry, ...], ...]
 
@@ -114,7 +116,8 @@ def random_yes_instance(
         for i in range(k)
     )
     inst = GridTilingInstance(k, m, n, tiles)
-    assert solution_valid(inst, planted)
+    if not solution_valid(inst, planted):
+        raise VerificationError("the planted tiling is not a solution")
     return inst, planted
 
 

@@ -1,9 +1,12 @@
 """Data reduction for geodetic set instances with few independent cycles.
 
 The driver shrinks a connected graph with five rewrite rules while tracking
-how much the optimum drops.  Each rule application is logged in a trace that
-is invertible: it lifts a witness of the reduced instance back to the input
-graph.
+how much the optimum drops.  Each rule application is logged in a trace
+entry that names its own inverse, the vertices a witness gives up and those
+it takes, so one rule-agnostic :func:`lift_witness` lifts a witness of the
+reduced instance back to the input graph.  Each rule also queues on the one
+:class:`RuleWorklist` of a reduction the collapse and twin candidates its
+edit creates.
 
 Terminology used throughout:
 
@@ -17,16 +20,23 @@ Terminology used throughout:
   full vertex sequence.  A segment whose two ends are the same branch vertex
   is a loop.
 
-Rules fire one application at a time, highest priority first:
+Rules fire one application at a time, highest priority first; the lift
+of each is given as (gives up) -> (takes):
 
 * collapse: leaf whose support has degree 2; drop the leaf (optimum kept).
-* twin: two leaves on one support; drop one (optimum drops by 1).
+  Lift: support -> leaf.
+* twin: two leaves on one support; drop one (optimum drops by 1).  Lift:
+  nothing -> the dropped leaf.
 * shortcut: consecutive leafed positions on a segment whose graph distance
   beats the along-segment distance; pin the midpoint with a new leaf.
+  Lift: new leaf -> its support.
 * margin: the extreme leafed position of a segment sits too deep relative to
   the end-to-end distance; pin a position near the end with a new leaf.
+  Lift: new leaf -> its support.
 * loop-prune: a loop at a branch vertex is removed wholesale (needs at least
-  two independent cycles overall).
+  two independent cycles overall).  Lift: the new leaf of a bare branch
+  vertex, if any -> the loop's leaves, or on a bare loop the one or two
+  vertices opposite the branch vertex.
 """
 
 from __future__ import annotations
@@ -154,13 +164,18 @@ class MutableGraph:
 
 class TraceEntry(NamedTuple):
     """One rule application; a named tuple, since collapse and twin log
-    one per firing."""
+    one per firing.
+
+    ``lift_out`` and ``lift_in`` undo the application on a witness: the
+    witness must hold each vertex of ``lift_out`` and loses it, and must
+    not hold any vertex of ``lift_in`` and gains it."""
 
     rule: str
     dk: int
     removed: tuple[int, ...]
     added: tuple[int, ...]
-    info: dict
+    lift_out: tuple[int, ...]
+    lift_in: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -250,12 +265,10 @@ class RuleWorklist:
     without sorting its neighbourhood.  A heap may hold stale labels but
     always holds every label its rule applies to: an entry is checked again
     when popped and dropped if the rule no longer applies, and after each
-    edit :func:`apply_collapse` and :func:`apply_twin` queue the few labels
-    it can have enabled, in O(1) pushes.  A support that gains a leaf goes
-    onto ``twin`` only once its ``leaves`` heap holds two entries, the
-    least twin needs.  The other rules edit the graph rarely, so the driver
-    builds a fresh worklist after them.  So the smallest applicable label
-    comes first, as in a scan of sorted labels.
+    edit every rule queues the few labels it can have enabled, in O(1)
+    pushes.  A support that gains a leaf goes onto ``twin`` only once its
+    ``leaves`` heap holds two entries, the least twin needs.  So the
+    smallest applicable label comes first, as in a scan of sorted labels.
     """
 
     def __init__(self, work: MutableGraph) -> None:
@@ -266,6 +279,15 @@ class RuleWorklist:
             (s,) = work.neighbors(u)
             self.leaves.setdefault(s, []).append(u)
         self.twin = sorted(s for s, heap in self.leaves.items() if len(heap) >= 2)
+
+    def add_leaf(self, u: int, s: int) -> None:
+        """Queue ``u``, now a leaf of ``s``, for collapse, and ``s`` for
+        twin once it may hold two leaves."""
+        heappush(self.collapse, u)
+        sleaves = self.leaves.setdefault(s, [])
+        heappush(sleaves, u)
+        if len(sleaves) >= 2:
+            heappush(self.twin, s)
 
 
 def apply_collapse(
@@ -292,12 +314,8 @@ def apply_collapse(
     del adj[u]
     vnb.discard(u)
     (s,) = vnb
-    heappush(heap, v)
-    sleaves = worklist.leaves.setdefault(s, [])
-    heappush(sleaves, v)
-    if len(sleaves) >= 2:
-        heappush(worklist.twin, s)
-    trace.append(TraceEntry("collapse", 0, (u,), (), {"leaf": u, "support": v}))
+    worklist.add_leaf(v, s)
+    trace.append(TraceEntry("collapse", 0, (u,), (), (v,), (u,)))
     return True
 
 
@@ -334,11 +352,7 @@ def apply_twin(
     vnb.discard(gone)
     if len(vnb) == 1:
         (s,) = vnb
-        heappush(worklist.collapse, v)
-        sleaves = leaves.setdefault(s, [])
-        heappush(sleaves, v)
-        if len(sleaves) >= 2:
-            heappush(twin, s)
+        worklist.add_leaf(v, s)
     else:
         if len(heap) >= 2:
             heappush(twin, v)
@@ -346,16 +360,15 @@ def apply_twin(
             for u in vnb:
                 if len(adj[u]) == 1:
                     heappush(worklist.collapse, u)
-    trace.append(
-        TraceEntry(
-            "twin", 1, (gone,), (), {"kept": kept, "removed": gone, "support": v}
-        )
-    )
+    trace.append(TraceEntry("twin", 1, (gone,), (), (), (gone,)))
     return True
 
 
 def apply_shortcut(
-    work: MutableGraph, fed: FeedbackEdgeDecomposition, trace: list[TraceEntry]
+    work: MutableGraph,
+    fed: FeedbackEdgeDecomposition,
+    trace: list[TraceEntry],
+    worklist: RuleWorklist,
 ) -> bool:
     """Pin the midpoint between consecutive leafed positions that a shortcut
     elsewhere in the graph makes locally uncoverable."""
@@ -369,17 +382,17 @@ def apply_shortcut(
             if l + around - l2 < l2 - l:
                 mid = path.vertices[(l + l2) // 2]
                 leaf = work.attach_leaf(mid)
-                trace.append(
-                    TraceEntry(
-                        "shortcut", 0, (), (leaf,), {"leaf": leaf, "support": mid}
-                    )
-                )
+                worklist.add_leaf(leaf, mid)
+                trace.append(TraceEntry("shortcut", 0, (), (leaf,), (leaf,), (mid,)))
                 return True
     return False
 
 
 def apply_margin(
-    work: MutableGraph, fed: FeedbackEdgeDecomposition, trace: list[TraceEntry]
+    work: MutableGraph,
+    fed: FeedbackEdgeDecomposition,
+    trace: list[TraceEntry],
+    worklist: RuleWorklist,
 ) -> bool:
     """Pin a position near a segment end when the nearest leafed position
     sits deeper than the end-to-end distance allows."""
@@ -396,62 +409,55 @@ def apply_margin(
             continue
         support = path.vertices[pos]
         leaf = work.attach_leaf(support)
-        trace.append(
-            TraceEntry("margin", 0, (), (leaf,), {"leaf": leaf, "support": support})
-        )
+        worklist.add_leaf(leaf, support)
+        trace.append(TraceEntry("margin", 0, (), (leaf,), (leaf,), (support,)))
         return True
     return False
 
 
 def apply_loop_prune(
-    work: MutableGraph, fed: FeedbackEdgeDecomposition, trace: list[TraceEntry]
+    work: MutableGraph,
+    fed: FeedbackEdgeDecomposition,
+    trace: list[TraceEntry],
+    worklist: RuleWorklist,
 ) -> bool:
     """Remove a loop at a branch vertex together with its pendant leaves.
 
     Only valid when the rest of the graph still contains a cycle, which the
     caller guarantees by checking the feedback edge number first.  The
     optimum drops by one less than the number of leafed vertices on the
-    loop; a bare odd loop costs one extra.
+    loop; a bare odd loop costs one extra.  A bare branch vertex gets a new
+    leaf.
     """
     for path in fed.paths:
         if not path.is_loop:
             continue
         v = path.left
         h = path.h
-        inner = list(path.vertices[1:-1])
-        inner_leaves = {
-            pos: work.leaf_of(path.vertices[pos])
-            for pos in range(1, h)
-            if work.is_leafed(path.vertices[pos])
-        }
-        had_leaf = work.is_leafed(v)
-        t = len(inner_leaves) + (1 if had_leaf else 0)
+        inner = path.vertices[1:-1]
+        inner_leaves = [work.leaf_of(u) for u in inner]
+        leaves = tuple(leaf for leaf in inner_leaves if leaf is not None)
+        kept = work.leaf_of(v)
+        t = len(leaves) + (kept is not None)
         removed = []
-        for pos in range(1, h):
-            leaf = inner_leaves.get(pos)
+        for u, leaf in zip(inner, inner_leaves):
             if leaf is not None:
                 work.remove_vertex(leaf)
                 removed.append(leaf)
-            work.remove_vertex(path.vertices[pos])
-            removed.append(path.vertices[pos])
-        new_leaf = None if had_leaf else work.attach_leaf(v)
+            work.remove_vertex(u)
+            removed.append(u)
+        if kept is None:
+            added = (work.attach_leaf(v),)
+            worklist.add_leaf(added[0], v)
+        else:
+            added = ()
+            # left with one other neighbour, v lets its leaf collapse
+            if work.degree(v) == 2:
+                heappush(worklist.collapse, kept)
         dk = (h % 2) if t == 0 else t - 1
+        lift_in = path.vertices[h // 2 : (h + 1) // 2 + 1] if t == 0 else leaves
         trace.append(
-            TraceEntry(
-                "loop-prune",
-                dk,
-                tuple(removed),
-                () if new_leaf is None else (new_leaf,),
-                {
-                    "attach": v,
-                    "had_leaf": had_leaf,
-                    "h": h,
-                    "inner": tuple(inner),
-                    "inner_leaves": dict(inner_leaves),
-                    "new_leaf": new_leaf,
-                    "t": t,
-                },
-            )
+            TraceEntry("loop-prune", dk, tuple(removed), added, added, lift_in)
         )
         return True
     return False
@@ -470,9 +476,9 @@ def reduce_to_fixpoint(g: Graph) -> ReductionResult:
 
     Stops early (without a decomposition) once fewer than two independent
     cycles remain; those instances are closed-form territory.  Collapse and
-    twin come from a :class:`RuleWorklist`, so each costs O(log n); the
-    rarer segment rules rebuild the decomposition, and the worklist after
-    they fire.
+    twin come from one :class:`RuleWorklist`, so each costs O(log n), and
+    every rule queues there what its edit enables; the rarer segment rules
+    rebuild the decomposition.
     """
     if g.n == 0:
         raise GraphError("cannot reduce the empty graph")
@@ -495,13 +501,13 @@ def reduce_to_fixpoint(g: Graph) -> ReductionResult:
             fed = None
             break
         fed = build_feg(work)
-        if apply_shortcut(work, fed, trace) or apply_margin(work, fed, trace):
-            worklist = RuleWorklist(work)
-        elif apply_loop_prune(work, fed, trace):
-            fen -= 1
-            worklist = RuleWorklist(work)
-        else:
+        if apply_shortcut(work, fed, trace, worklist):
+            continue
+        if apply_margin(work, fed, trace, worklist):
+            continue
+        if not apply_loop_prune(work, fed, trace, worklist):
             break
+        fen -= 1
     else:  # pragma: no cover - the potential argument rules this out
         raise AssertionError("reduction failed to reach a fixpoint")
     k_decrease = sum(entry.dk for entry in trace)
@@ -511,53 +517,22 @@ def reduce_to_fixpoint(g: Graph) -> ReductionResult:
 def lift_witness(trace: list[TraceEntry], witness: Iterable[int]) -> tuple[int, ...]:
     """Map an optimal witness of the reduced graph back through the trace.
 
-    Inverts rule applications newest first.  The size grows by exactly the
-    total optimum drop recorded in the trace.  A witness that misses a forced
-    vertex, or holds a removed leaf or a pinned support, raises
-    :class:`~geodetic.graph.VerificationError`.
+    Undoes rule applications newest first: each entry's witness gives up
+    its ``lift_out`` vertices and takes its ``lift_in`` ones, so the size
+    grows by exactly the total optimum drop recorded in the trace.  A
+    witness that misses a vertex it must give up, or already holds one it
+    must take, raises :class:`~geodetic.graph.VerificationError`.
     """
     current = set(witness)
     for entry in reversed(trace):
-        if entry.rule == "collapse":
-            support = entry.info["support"]
-            leaf = entry.info["leaf"]
-            if support not in current:
-                raise VerificationError(f"collapse: forced support {support} missing")
-            current.remove(support)
-            current.add(leaf)
-        elif entry.rule == "twin":
-            removed = entry.info["removed"]
-            if removed in current:
-                raise VerificationError(f"twin: removed leaf {removed} present")
-            current.add(removed)
-        elif entry.rule in ("shortcut", "margin"):
-            leaf = entry.info["leaf"]
-            support = entry.info["support"]
-            if leaf not in current:
-                raise VerificationError(f"{entry.rule}: forced leaf {leaf} missing")
-            if support in current:
-                raise VerificationError(f"{entry.rule}: support {support} present")
-            current.remove(leaf)
-            current.add(support)
-        elif entry.rule == "loop-prune":
-            info = entry.info
-            new_leaf = info["new_leaf"]
-            if new_leaf is not None:
-                if new_leaf not in current:
-                    raise VerificationError(f"loop-prune: new leaf {new_leaf} missing")
-                current.remove(new_leaf)
-            for leaf in info["inner_leaves"].values():
-                current.add(leaf)
-            if info["t"] == 0:
-                h = info["h"]
-                inner = info["inner"]
-                if h % 2 == 0:
-                    current.add(inner[h // 2 - 1])
-                else:
-                    current.add(inner[(h - 1) // 2 - 1])
-                    current.add(inner[(h + 1) // 2 - 1])
-        else:  # pragma: no cover
-            raise ValueError(f"unknown rule {entry.rule!r}")
+        for v in entry.lift_out:
+            if v not in current:
+                raise VerificationError(f"{entry.rule}: forced vertex {v} missing")
+            current.remove(v)
+        for v in entry.lift_in:
+            if v in current:
+                raise VerificationError(f"{entry.rule}: vertex {v} already present")
+            current.add(v)
     return tuple(sorted(current))
 
 

@@ -172,7 +172,7 @@ def test_criterion_2_rule_soundness(capsys):
     def with_feg(rule_fn):
         def fire(work, trace):
             fed = build_feg(work)
-            return rule_fn(work, fed, trace)
+            return rule_fn(work, fed, trace, RuleWorklist(work))
 
         return fire
 
@@ -216,14 +216,18 @@ def test_criterion_2_rule_soundness(capsys):
         g = _figure_eight(c1, c2, spots, rng.random() < 0.3)
         work = MutableGraph.from_graph(g)
         trace = []
+        worklist = RuleWorklist(work)
         for _ in range(3 * g.n):
             fed = build_feg(work)
-            if apply_shortcut(work, fed, trace) or apply_margin(work, fed, trace):
+            if apply_shortcut(work, fed, trace, worklist) or apply_margin(
+                work, fed, trace, worklist
+            ):
                 continue
             break
         settled, _labels = work.to_graph()
         diff = _one_rule_diff(
-            settled, lambda w, t: apply_loop_prune(w, build_feg(w), t)
+            settled,
+            lambda w, t: apply_loop_prune(w, build_feg(w), t, RuleWorklist(w)),
         )
         if diff:
             record("loop-prune", diff)

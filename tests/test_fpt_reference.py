@@ -77,9 +77,7 @@ def reference_graft(prep, guess):
         leaf = work.attach_leaf(v)
         # lift_witness undoes a pin by putting the support back in place of
         # the leaf, which is all a stand-in leaf needs
-        trace.append(
-            TraceEntry("margin", 0, (), (leaf,), {"leaf": leaf, "support": v})
-        )
+        trace.append(TraceEntry("margin", 0, (), (leaf,), (leaf,), (v,)))
     for p in prep.fed.paths:
         h = p.h
         if p.leaf_positions or not (p.left in st or p.right in st):
@@ -94,9 +92,7 @@ def reference_graft(prep, guess):
                 pos, rule = h - (h + d) // 2, "margin"
             support = p.vertices[pos]
             leaf = work.attach_leaf(support)
-            trace.append(
-                TraceEntry(rule, 0, (), (leaf,), {"leaf": leaf, "support": support})
-            )
+            trace.append(TraceEntry(rule, 0, (), (leaf,), (leaf,), (support,)))
     return work, trace
 
 
@@ -568,7 +564,7 @@ def test_grafted_solutions_lift_to_kernel_solutions():
         solution = reconstruct(prep, applied, res.assignment, placed)
         assert lift_witness(trace, grafted) == solution
         assert geodetic_on(work, grafted) and geodetic_on(prep.work, solution)
-        leaves = {e.info["leaf"] for e in trace}
+        leaves = {leaf for e in trace for leaf in e.added}
         for v in set(grafted) - leaves:
             for w in sorted(prep.work.neighbors(v) - set(solution)):
                 moved = [w if u == v else u for u in grafted]

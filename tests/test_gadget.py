@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from geodetic import gadget as gadget_module
 from geodetic.gadget import (
     GadgetBudgetError,
     GadgetError,
@@ -15,7 +16,12 @@ from geodetic.gadget import (
     format_registry,
     verify_structure,
 )
-from geodetic.graph import format_graph, interval_closure, is_geodetic
+from geodetic.graph import (
+    VerificationError,
+    format_graph,
+    interval_closure,
+    is_geodetic,
+)
 from geodetic.gridtiling import (
     GridTilingInstance,
     grid_tiling_brute,
@@ -38,6 +44,16 @@ def test_counts_smallest_case():
     assert gadget.k_prime == 8
     assert gadget.hub_count() == 64
     assert len(gadget.tile_ids) == 4
+
+
+def test_count_mismatch_raises(monkeypatch):
+    # an explicit check, so it also runs under python -O
+    def off_by_one(k: int, m: int, n: int) -> int:
+        return expected_vertex_count(k, m, n) + 1
+
+    monkeypatch.setattr(gadget_module, "expected_vertex_count", off_by_one)
+    with pytest.raises(VerificationError, match="formulas"):
+        build_gadget(uniform_instance())
 
 
 def test_pendants_are_the_only_leaves():

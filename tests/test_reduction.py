@@ -128,6 +128,29 @@ def test_build_feg_needs_branch_vertex():
         build_feg(MutableGraph.from_graph(path_graph(4)))
 
 
+def assert_worklist_holds_candidates(work: MutableGraph, worklist: RuleWorklist):
+    """Each leaf sits in its support's ``leaves`` heap, and is queued for
+    collapse when that support has degree 2; each support of two leaves is
+    queued for twin."""
+    for s in work.labels():
+        leaves = [u for u in work.neighbors(s) if work.degree(u) == 1]
+        for u in leaves:
+            assert u in worklist.leaves.get(s, ())
+            if work.degree(s) == 2:
+                assert u in worklist.collapse
+        if len(leaves) >= 2:
+            assert s in worklist.twin
+
+
+def fire(rule, work: MutableGraph, fed, trace: list) -> bool:
+    """Apply a segment rule with a fresh worklist, which the rule must
+    leave holding every collapse and twin candidate."""
+    worklist = RuleWorklist(work)
+    fired = rule(work, fed, trace, worklist)
+    assert_worklist_holds_candidates(work, worklist)
+    return fired
+
+
 def test_collapse_shortens_pendant_path():
     # triangle with a pendant path 2-3-4
     g = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
@@ -139,6 +162,7 @@ def test_collapse_shortens_pendant_path():
     assert trace[0].removed == (4,)
     assert trace[0].dk == 0
     assert work.degree(3) == 1
+    assert_worklist_holds_candidates(work, worklist)
     # vertex 3 is now a leaf, but its support 2 has degree 3: no second firing
     assert not apply_collapse(work, trace, worklist)
 
@@ -152,7 +176,10 @@ def test_twin_drops_second_leaf():
     assert trace[0].rule == "twin"
     assert trace[0].removed == (4,)
     assert trace[0].dk == 1
-    assert trace[0].info["kept"] == 3
+    assert trace[0].lift_in == (4,)
+    # the smaller leaf stays
+    assert work.neighbors(3) == {0}
+    assert_worklist_holds_candidates(work, worklist)
     assert not apply_twin(work, trace, worklist)
 
 
@@ -179,17 +206,19 @@ def test_shortcut_pins_midpoint():
     work = hub_pair_with_spine(6, [1, 5])
     trace = []
     fed = build_feg(work)
-    assert apply_shortcut(work, fed, trace)
+    assert fire(apply_shortcut, work, fed, trace)
     entry = trace[0]
     assert entry.rule == "shortcut" and entry.dk == 0
+    assert entry.lift_out == entry.added
     spine = next(p for p in build_feg(work).paths if p.h == 6)
     assert spine.leaf_positions == (1, 3, 5)
+    assert entry.lift_in == (spine.vertices[3],)
 
 
 def test_shortcut_ignores_tight_pairs():
     work = hub_pair_with_spine(6, [1, 3])
     fed = build_feg(work)
-    assert not apply_shortcut(work, fed, [])
+    assert not apply_shortcut(work, fed, [], RuleWorklist(work))
 
 
 def test_shortcut_and_margin_share_one_bfs_per_branch_vertex(monkeypatch):
@@ -206,8 +235,8 @@ def test_shortcut_and_margin_share_one_bfs_per_branch_vertex(monkeypatch):
         return bfs(self, source)
 
     monkeypatch.setattr(MutableGraph, "bfs", counting_bfs)
-    assert not apply_shortcut(work, fed, [])
-    assert not apply_margin(work, fed, [])
+    assert not apply_shortcut(work, fed, [], RuleWorklist(work))
+    assert not apply_margin(work, fed, [], RuleWorklist(work))
     assert searches <= len(fed.branch_vertices)
 
 
@@ -215,20 +244,20 @@ def test_margin_pins_near_left_end():
     work = hub_pair_with_spine(6, [5])
     trace = []
     fed = build_feg(work)
-    assert not apply_shortcut(work, fed, trace)
-    assert apply_margin(work, fed, trace)
+    assert not apply_shortcut(work, fed, trace, RuleWorklist(work))
+    assert fire(apply_margin, work, fed, trace)
     assert trace[0].rule == "margin" and trace[0].dk == 0
     spine = next(p for p in build_feg(work).paths if p.h == 6)
     # l_left = 5, end distance 1, new pin at 5 - (6 + 1) // 2 = 2
     assert spine.leaf_positions == (2, 5)
-    assert not apply_margin(work, build_feg(work), trace)
+    assert not apply_margin(work, build_feg(work), trace, RuleWorklist(work))
 
 
 def test_margin_pins_near_right_end():
     work = hub_pair_with_spine(6, [1])
     trace = []
     fed = build_feg(work)
-    assert apply_margin(work, fed, trace)
+    assert fire(apply_margin, work, fed, trace)
     spine = next(p for p in build_feg(work).paths if p.h == 6)
     assert spine.leaf_positions == (1, 4)
 
@@ -259,7 +288,7 @@ def test_margin_on_loop():
     work.attach_leaf(loop[4])
     fed = build_feg(work)
     trace = []
-    assert apply_margin(work, fed, trace)
+    assert fire(apply_margin, work, fed, trace)
     loop_rec = next(p for p in build_feg(work).paths if p.is_loop)
     # mirror case: h=9, l_right=4, pin at 4 + 4 = 8
     assert loop_rec.leaf_positions == (4, 8)
@@ -268,43 +297,51 @@ def test_margin_on_loop():
 def test_loop_prune_bare_even_loop():
     work, loop = theta_with_loop(4)
     trace = []
-    assert apply_loop_prune(work, build_feg(work), trace)
+    assert fire(apply_loop_prune, work, build_feg(work), trace)
     entry = trace[0]
     assert entry.rule == "loop-prune"
     assert entry.dk == 0  # bare even loop
     assert set(entry.removed) == set(loop[1:-1])
     assert len(entry.added) == 1
     assert work.degree(0) == 4  # three theta edges plus the new leaf
+    # lifting trades the new leaf for the vertex opposite the branch vertex
+    assert entry.lift_out == entry.added
+    assert entry.lift_in == (loop[2],)
 
 
 def test_loop_prune_bare_odd_loop():
-    work, _ = theta_with_loop(3)
+    work, loop = theta_with_loop(3)
     trace = []
-    assert apply_loop_prune(work, build_feg(work), trace)
+    assert fire(apply_loop_prune, work, build_feg(work), trace)
     assert trace[0].dk == 1  # bare odd loop costs one extra
+    # the two vertices opposite the branch vertex
+    assert trace[0].lift_in == (loop[1], loop[2])
 
 
 def test_loop_prune_leafed_loop():
     work, loop = theta_with_loop(4)
-    work.attach_leaf(loop[1])
-    work.attach_leaf(loop[3])
+    leaves = (work.attach_leaf(loop[1]), work.attach_leaf(loop[3]))
     trace = []
-    assert apply_loop_prune(work, build_feg(work), trace)
+    assert fire(apply_loop_prune, work, build_feg(work), trace)
     entry = trace[0]
     assert entry.dk == 1  # t = 2 leafed vertices on the loop
-    assert entry.info["new_leaf"] is not None  # the branch vertex was bare
+    (new_leaf,) = entry.added  # the branch vertex was bare
+    assert work.neighbors(new_leaf) == {0}
+    assert entry.lift_out == (new_leaf,)
+    assert entry.lift_in == leaves
 
 
 def test_loop_prune_keeps_existing_branch_leaf():
     work, loop = theta_with_loop(4)
-    work.attach_leaf(0)
-    work.attach_leaf(loop[2])
+    kept = work.attach_leaf(0)
+    leaf = work.attach_leaf(loop[2])
     trace = []
-    assert apply_loop_prune(work, build_feg(work), trace)
+    assert fire(apply_loop_prune, work, build_feg(work), trace)
     entry = trace[0]
     assert entry.dk == 1  # t = 2 again
-    assert entry.info["new_leaf"] is None
-    assert entry.info["had_leaf"]
+    assert entry.added == entry.lift_out == ()
+    assert entry.lift_in == (leaf,)
+    assert work.neighbors(kept) == {0}
 
 
 def test_reduce_requires_connected():
@@ -344,33 +381,14 @@ def test_reduce_preserves_optimum_and_lifts(rng: random.Random):
 @pytest.mark.parametrize(
     "entry, witness",
     [
-        (TraceEntry("collapse", 0, (5,), (), {"leaf": 5, "support": 4}), [0]),
-        (
-            TraceEntry("twin", 1, (6,), (), {"kept": 5, "removed": 6, "support": 4}),
-            [5, 6],
-        ),
-        (TraceEntry("shortcut", 0, (), (7,), {"leaf": 7, "support": 3}), [0]),
-        (TraceEntry("margin", 0, (), (7,), {"leaf": 7, "support": 3}), [3, 7]),
-        (
-            TraceEntry(
-                "loop-prune",
-                0,
-                (8, 9),
-                (10,),
-                {
-                    "attach": 0,
-                    "had_leaf": False,
-                    "h": 3,
-                    "inner": (8, 9),
-                    "inner_leaves": {},
-                    "new_leaf": 10,
-                    "t": 0,
-                },
-            ),
-            [0],
-        ),
+        (TraceEntry("collapse", 0, (5,), (), (4,), (5,)), [0]),
+        (TraceEntry("twin", 1, (6,), (), (), (6,)), [5, 6]),
+        (TraceEntry("shortcut", 0, (), (7,), (7,), (3,)), [0]),
+        (TraceEntry("margin", 0, (), (7,), (7,), (3,)), [3, 7]),
+        (TraceEntry("loop-prune", 1, (8, 9), (10,), (10,), (8, 9)), [0]),
+        (TraceEntry("loop-prune", 1, (8, 9), (10,), (10,), (8, 9)), [8, 10]),
     ],
-    ids=["collapse", "twin", "shortcut", "margin", "loop-prune"],
+    ids=["collapse", "twin", "shortcut", "margin", "loop-prune", "loop-prune-in"],
 )
 def test_lift_witness_rejects_a_witness_that_breaks_a_step(entry, witness):
     with pytest.raises(VerificationError):
@@ -390,18 +408,20 @@ def test_lift_witness_rejects_a_corrupted_witness_of_a_real_trace():
 
 def replay_entry(work: MutableGraph, entry: TraceEntry) -> None:
     """Re-apply a logged rule application to a working graph in the same state."""
-    if entry.rule in ("collapse", "twin"):
-        (gone,) = entry.removed
-        work.remove_vertex(gone)
+    if entry.rule == "loop-prune":
+        # a loop and its leaves meet the rest of the graph at the branch vertex
+        removed = set(entry.removed)
+        (support,) = {u for gone in removed for u in work.neighbors(gone)} - removed
     elif entry.rule in ("shortcut", "margin"):
-        (leaf,) = entry.added
-        work.attach_leaf(entry.info["support"], label=leaf)
+        # undoing a pin hands the new leaf's place back to its support
+        (support,) = entry.lift_in
     else:
-        assert entry.rule == "loop-prune", entry.rule
-        for gone in entry.removed:
-            work.remove_vertex(gone)
-        if entry.info["new_leaf"] is not None:
-            work.attach_leaf(entry.info["attach"], label=entry.info["new_leaf"])
+        assert entry.rule in ("collapse", "twin"), entry.rule
+        assert len(entry.removed) == 1 and not entry.added
+    for gone in entry.removed:
+        work.remove_vertex(gone)
+    for leaf in entry.added:
+        work.attach_leaf(support, label=leaf)
 
 
 def test_replay_reproduces_reduction(rng: random.Random):
@@ -496,6 +516,24 @@ class _CountingLabels(dict):
         return super().items()
 
 
+def test_reduce_builds_one_worklist(monkeypatch):
+    """The segment rules queue what they enable, so no worklist is rebuilt."""
+    built = 0
+
+    class CountingWorklist(RuleWorklist):
+        def __init__(self, work: MutableGraph) -> None:
+            nonlocal built
+            built += 1
+            super().__init__(work)
+
+    monkeypatch.setattr(reduction, "RuleWorklist", CountingWorklist)
+    # the graph of `generate random-fen --n 16 --fen 3 --seed 6`
+    result = reduce_to_fixpoint(random_fen_graph(16, 3, random.Random(6)))
+    rules = [entry.rule for entry in result.trace]
+    assert rules == ["collapse", "twin", "shortcut", "loop-prune", "collapse", "margin"]
+    assert built == 1
+
+
 @pytest.mark.parametrize(
     "g",
     [
@@ -556,8 +594,9 @@ def test_reduction_work_is_near_linear(monkeypatch, g: Graph):
     segment_steps = sum(
         entry.rule in ("shortcut", "margin", "loop-prune") for entry in result.trace
     )
-    # the decomposition and the fresh worklist each list the labels once
-    assert labels.scans <= 2 * segment_steps + 4
+    # the one worklist lists the labels once, and the decomposition once
+    # before each segment step and once at the fixpoint
+    assert labels.scans <= segment_steps + 2
     assert pushes <= 3 * (g.n + len(result.trace))
     assert len(result.trace) >= g.n - 200
     # a support is queued only once it holds two leaves, so few pops are stale

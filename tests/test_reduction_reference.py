@@ -1,11 +1,11 @@
 """The worklist reduction driver against the scanning driver it replaced.
 
 The reference below is the earlier ``reduce_to_fixpoint`` with its rules
-and decomposition, kept verbatim: every round it rescans all labels in
-sorted order for collapse and twin, and it recomputes the feedback edge
-number.  It runs on :class:`SortingGraph`, which restores the sorting
-accessors, the ``distance`` query and the component count it was written
-against.  ``geodetic.reduction.reduce_to_fixpoint`` must give the same
+and decomposition, kept verbatim but for the vertices each trace entry
+records to undo it: every round it rescans all labels in sorted order for
+collapse and twin, and it recomputes the feedback edge number.  It runs on
+:class:`SortingGraph`, which restores the sorting accessors, the
+``distance`` query and the component count it was written against.  ``geodetic.reduction.reduce_to_fixpoint`` must give the same
 trace, kernel, optimum drop and decomposition.  The earlier cycle walk of
 ``solve_fen1_optimum`` is kept verbatim too, and
 ``geodetic.reduction._cycle_order`` must give its order on fen-1 fixpoints.
@@ -127,9 +127,7 @@ def apply_collapse(work: MutableGraph, trace: list[TraceEntry]) -> bool:
         (v,) = work.neighbors(u)
         if work.degree(v) == 2:
             work.remove_vertex(u)
-            trace.append(
-                TraceEntry("collapse", 0, (u,), (), {"leaf": u, "support": v})
-            )
+            trace.append(TraceEntry("collapse", 0, (u,), (), (v,), (u,)))
             return True
     return False
 
@@ -138,13 +136,9 @@ def apply_twin(work: MutableGraph, trace: list[TraceEntry]) -> bool:
     for v in work.labels():
         leaves = [u for u in work.neighbors(v) if work.degree(u) == 1]
         if len(leaves) >= 2:
-            kept, gone = leaves[0], leaves[1]
+            gone = leaves[1]
             work.remove_vertex(gone)
-            trace.append(
-                TraceEntry(
-                    "twin", 1, (gone,), (), {"kept": kept, "removed": gone, "support": v}
-                )
-            )
+            trace.append(TraceEntry("twin", 1, (gone,), (), (), (gone,)))
             return True
     return False
 
@@ -158,11 +152,7 @@ def apply_shortcut(
             if work.distance(a, b) < l2 - l:
                 mid = path.vertices[(l + l2) // 2]
                 leaf = work.attach_leaf(mid)
-                trace.append(
-                    TraceEntry(
-                        "shortcut", 0, (), (leaf,), {"leaf": leaf, "support": mid}
-                    )
-                )
+                trace.append(TraceEntry("shortcut", 0, (), (leaf,), (leaf,), (mid,)))
                 return True
     return False
 
@@ -183,9 +173,7 @@ def apply_margin(
             continue
         support = path.vertices[pos]
         leaf = work.attach_leaf(support)
-        trace.append(
-            TraceEntry("margin", 0, (), (leaf,), {"leaf": leaf, "support": support})
-        )
+        trace.append(TraceEntry("margin", 0, (), (leaf,), (leaf,), (support,)))
         return True
     return False
 
@@ -216,22 +204,15 @@ def apply_loop_prune(
             removed.append(path.vertices[pos])
         new_leaf = None if had_leaf else work.attach_leaf(v)
         dk = (h % 2) if t == 0 else t - 1
+        added = () if new_leaf is None else (new_leaf,)
+        if t:
+            lift_in = tuple(inner_leaves.values())
+        elif h % 2 == 0:
+            lift_in = (inner[h // 2 - 1],)
+        else:
+            lift_in = (inner[(h - 1) // 2 - 1], inner[(h + 1) // 2 - 1])
         trace.append(
-            TraceEntry(
-                "loop-prune",
-                dk,
-                tuple(removed),
-                () if new_leaf is None else (new_leaf,),
-                {
-                    "attach": v,
-                    "had_leaf": had_leaf,
-                    "h": h,
-                    "inner": tuple(inner),
-                    "inner_leaves": dict(inner_leaves),
-                    "new_leaf": new_leaf,
-                    "t": t,
-                },
-            )
+            TraceEntry("loop-prune", dk, tuple(removed), added, added, lift_in)
         )
         return True
     return False
@@ -355,7 +336,7 @@ def seeded_graphs():
 
 def test_worklist_driver_matches_scanning_reference():
     fired: Counter[str] = Counter()
-    graphs = 0
+    graphs = after_prune = 0
     for g in seeded_graphs():
         want = reference_reduce(g)
         got = reduce_to_fixpoint(g)
@@ -364,10 +345,16 @@ def test_worklist_driver_matches_scanning_reference():
         assert got.k_decrease == want.k_decrease
         assert got.decomposition == want.decomposition
         fired.update(entry.rule for entry in got.trace)
+        after_prune += sum(
+            before.rule == "loop-prune" and entry.rule in ("collapse", "twin")
+            for before, entry in zip(got.trace, got.trace[1:])
+        )
         graphs += 1
     assert graphs >= 1000
     rules = ("collapse", "twin", "shortcut", "margin", "loop-prune")
     assert all(fired[rule] >= 200 for rule in rules), fired
+    # loop-prune queues what it enables, so the worklist must see these
+    assert after_prune >= 100, after_prune
 
 
 # ---------------------------------------------------------------------------
