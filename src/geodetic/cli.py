@@ -230,11 +230,11 @@ def cmd_reduce(args) -> int:
     report.line("n-before", g.n)
     report.line("m-before", g.m)
     if not args.quiet:
-        sys.stdout.write("".join(
-            f"RULE {e.rule} removed={','.join(map(str, e.removed)) or '-'}"
-            f" added={','.join(map(str, e.added)) or '-'} dk={e.dk}\n"
-            for e in red.trace
-        ))
+        sys.stdout.write("".join([
+            f"RULE {rule} removed={','.join(map(str, removed)) or '-'}"
+            f" added={','.join(map(str, added)) or '-'} dk={dk}\n"
+            for rule, dk, removed, added, _, _ in red.trace
+        ]))
     report.line("k-decrease", red.k_decrease)
     reduced, labels = red.graph.to_graph()
     report.line("n-after", reduced.n)

@@ -11,8 +11,9 @@ pendant-tree peel and chain walk also give :mod:`geodetic.reduction` its core.
 
 from __future__ import annotations
 
+import gc
 from collections import deque
-from heapq import heappop, heappush
+from contextlib import contextmanager
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -35,6 +36,26 @@ class VerificationError(RuntimeError):
     """
 
 
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Run the block with the cyclic garbage collector off, and restore its
+    previous state (on or off) afterwards, also when the block raises.
+
+    For blocks that build input-sized structures with no reference cycles,
+    such as graph reading and the reduction: reference counting frees all
+    their garbage, so the collector would only rescan live objects, and one
+    collection pass after the block sees each object once.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
 class Graph:
     """Immutable undirected simple graph.
 
@@ -53,22 +74,23 @@ class Graph:
             raise GraphError("vertex count must be non-negative")
         self.n = n
         lists: list[list[int]] = [[] for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
+        # an edge u < v, both in range, is the one integer u·n + v
+        seen: set[int] = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise GraphError(f"loop at vertex {u} not allowed")
-            key = (u, v) if u < v else (v, u)
+            key = u * n + v if u < v else v * n + u
             if key in seen:
-                raise GraphError(f"duplicate edge {key}")
+                raise GraphError(f"duplicate edge {divmod(key, n)}")
             seen.add(key)
             lists[u].append(v)
             lists[v].append(u)
         self.m = len(seen)
-        self.adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(nb)) for nb in lists
-        )
+        for nb in lists:
+            nb.sort()
+        self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, lists))
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -156,8 +178,9 @@ def interval_closure(g: Graph, vertices: Iterable[int]) -> frozenset[int]:
     backwards from the members marks every vertex on a shortest path from u
     to some member, since a marked vertex passes its mark to each neighbour
     one step closer to u.  Cost O(|S|·m) time and O(n) memory per source.
-    Coverage only grows, so the sweeps stop once no vertex is left
-    uncovered.
+    The last source needs no sweep: each of its pairs was swept from the
+    other end.  Coverage only grows, so the sweeps stop once no vertex is
+    left uncovered.
     """
     vs = sorted(set(vertices))
     for v in vs:
@@ -169,7 +192,7 @@ def interval_closure(g: Graph, vertices: Iterable[int]) -> frozenset[int]:
         member[v] = 1
     covered = bytearray(member)
     uncovered = g.n - len(vs)
-    for u in vs:
+    for u in vs[:-1]:
         if uncovered == 0:
             break
         dist, order = _bfs_order(adj, u)
@@ -191,7 +214,7 @@ def is_geodetic(g: Graph, vertices: Iterable[int]) -> bool:
 
     The closure stops sweeping as soon as every vertex is covered, so
     accepting a geodetic set usually takes a few of its sources; a
-    rejection still sweeps them all.
+    rejection still sweeps all but the last.
     """
     if not is_connected(g):
         raise DisconnectedError("geodetic test requires a connected graph")
@@ -275,8 +298,9 @@ def diameter(g: Graph) -> int:
     lie farther apart.  Two points in two chains follow from the four
     distances between the chain ends, in closed form per point of the
     shorter chain; a chain pair is skipped when an O(1) bound shows it
-    cannot beat the best so far.  Cost
-    O(n + hubs·(hubs + chains)·log hubs + chain pairs·h) time and
+    cannot beat the best so far.  A search's bucket list runs up to its
+    largest tentative distance, at most 3·diameter + 1.  Cost
+    O(n + hubs·(hubs + chains + diameter) + chain pairs·h) time and
     O(hubs² + n) memory.
     """
     n = g.n
@@ -346,24 +370,21 @@ def _hub_distances(
 ) -> list[int]:
     """Distances from ``source`` in a connected graph whose ``links[u]``
     holds (v, weight) pairs with weights >= 1: Dijkstra on a bucket queue,
-    one bucket per tentative distance, whose keys sit on a heap."""
+    a list whose entry d holds the vertices reached at tentative distance
+    d.  A weight of at least 1 never adds to the bucket being read."""
     dist = [-1] * len(links)
-    buckets = {0: [source]}
-    keys = [0]
-    while keys:
-        d = heappop(keys)
-        for u in buckets.pop(d):
+    buckets: list[list[int]] = [[source]]
+    for d, bucket in enumerate(buckets):
+        for u in bucket:
             if dist[u] >= 0:
                 continue
             dist[u] = d
             for v, w in links[u]:
                 if dist[v] < 0:
                     t = d + w
-                    if t in buckets:
-                        buckets[t].append(v)
-                    else:
-                        buckets[t] = [v]
-                        heappush(keys, t)
+                    if t >= len(buckets):
+                        buckets.extend([] for _ in range(t + 1 - len(buckets)))
+                    buckets[t].append(v)
     return dist
 
 
@@ -382,7 +403,29 @@ def parse_graph(text: str) -> Graph:
     """Parse the plain text format: ``n m`` header then ``u v`` edge lines.
 
     Vertex ids are 0-based with u < v; lines starting with ``#`` are comments.
+    Each line is split once and all ids are converted in one pass; only
+    malformed text is read again, line by line, to name its first fault.
+    The collector is paused throughout (see :func:`_gc_paused`).
     """
+    with _gc_paused():
+        rows = (r for r in map(str.split, text.splitlines()) if r and r[0][0] != "#")
+        try:
+            n, m = map(int, next(rows))
+            edges = [(int(u), int(v)) for u, v in rows]
+            ok = len(edges) == m and all(u < v for u, v in edges)
+        except (StopIteration, ValueError):
+            ok = False
+        if not ok:
+            n, edges = _parse_lines(text)
+        try:
+            return Graph(n, edges)
+        except GraphError as exc:
+            raise GraphFormatError(str(exc)) from exc
+
+
+def _parse_lines(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """:func:`parse_graph`'s header and edges, line by line, raising
+    :class:`GraphFormatError` at the first malformed line."""
     lines = [
         ln.strip()
         for ln in text.splitlines()
@@ -411,10 +454,7 @@ def parse_graph(text: str) -> Graph:
         if not u < v:
             raise GraphFormatError(f"edge line must satisfy u < v: {ln!r}")
         edges.append((u, v))
-    try:
-        return Graph(n, edges)
-    except GraphError as exc:
-        raise GraphFormatError(str(exc)) from exc
+    return n, edges
 
 
 def format_graph(g: Graph) -> str:

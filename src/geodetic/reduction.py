@@ -52,6 +52,7 @@ from geodetic.graph import (
     Graph,
     GraphError,
     VerificationError,
+    _gc_paused,
     core_chains,
     is_connected,
     is_geodetic,
@@ -247,11 +248,18 @@ def build_feg(work: MutableGraph) -> FeedbackEdgeDecomposition:
     branch = sorted(v for v, d in deg.items() if d >= 3)
     if not branch:
         raise FenTooSmallError("no branch vertex in the core")
+    # only a vertex with a neighbour off the core can hold a leaf
     paths = tuple(
-        PathRecord(i, verts, tuple(j for j, v in enumerate(verts) if work.is_leafed(v)))
+        PathRecord(i, verts, tuple(
+            j for j, v in enumerate(verts) if len(adj[v]) > deg[v] and work.is_leafed(v)
+        ))
         for i, verts in enumerate(core_chains(adj, deg, branch))
     )
-    steps = [frozenset(e) for p in paths for e in zip(p.vertices, p.vertices[1:])]
+    steps = [
+        (u, v) if u < v else (v, u)
+        for p in paths
+        for u, v in zip(p.vertices, p.vertices[1:])
+    ]
     if not len(set(steps)) == len(steps) == sum(deg.values()) // 2:
         raise VerificationError("the segments do not cover each core edge once")
     return FeedbackEdgeDecomposition(tuple(branch), paths)
@@ -478,40 +486,42 @@ def reduce_to_fixpoint(g: Graph) -> ReductionResult:
     cycles remain; those instances are closed-form territory.  Collapse and
     twin come from one :class:`RuleWorklist`, so each costs O(log n), and
     every rule queues there what its edit enables; the rarer segment rules
-    rebuild the decomposition.
+    rebuild the decomposition.  It builds no reference cycles, so the
+    collector is paused throughout (see :func:`geodetic.graph._gc_paused`).
     """
-    if g.n == 0:
-        raise GraphError("cannot reduce the empty graph")
-    if not is_connected(g):
-        raise DisconnectedError("reduction requires a connected graph")
-    work = MutableGraph.from_graph(g)
-    # every rule keeps the graph connected and only loop-prune drops a cycle
-    fen = g.m - g.n + 1
-    worklist = RuleWorklist(work)
-    trace: list[TraceEntry] = []
-    fed: FeedbackEdgeDecomposition | None = None
-    # each application shrinks (vertex count + 2 * unleafed non-leaf count)
-    limit = 3 * g.n + 5
-    for _ in range(limit):
-        if apply_collapse(work, trace, worklist):
-            continue
-        if apply_twin(work, trace, worklist):
-            continue
-        if fen < 2:
-            fed = None
-            break
-        fed = build_feg(work)
-        if apply_shortcut(work, fed, trace, worklist):
-            continue
-        if apply_margin(work, fed, trace, worklist):
-            continue
-        if not apply_loop_prune(work, fed, trace, worklist):
-            break
-        fen -= 1
-    else:  # pragma: no cover - the potential argument rules this out
-        raise AssertionError("reduction failed to reach a fixpoint")
-    k_decrease = sum(entry.dk for entry in trace)
-    return ReductionResult(work, fed, k_decrease, trace)
+    with _gc_paused():
+        if g.n == 0:
+            raise GraphError("cannot reduce the empty graph")
+        if not is_connected(g):
+            raise DisconnectedError("reduction requires a connected graph")
+        work = MutableGraph.from_graph(g)
+        # every rule keeps the graph connected and only loop-prune drops a cycle
+        fen = g.m - g.n + 1
+        worklist = RuleWorklist(work)
+        trace: list[TraceEntry] = []
+        fed: FeedbackEdgeDecomposition | None = None
+        # each application shrinks (vertex count + 2 * unleafed non-leaf count)
+        limit = 3 * g.n + 5
+        for _ in range(limit):
+            if apply_collapse(work, trace, worklist):
+                continue
+            if apply_twin(work, trace, worklist):
+                continue
+            if fen < 2:
+                fed = None
+                break
+            fed = build_feg(work)
+            if apply_shortcut(work, fed, trace, worklist):
+                continue
+            if apply_margin(work, fed, trace, worklist):
+                continue
+            if not apply_loop_prune(work, fed, trace, worklist):
+                break
+            fen -= 1
+        else:  # pragma: no cover - the potential argument rules this out
+            raise AssertionError("reduction failed to reach a fixpoint")
+        k_decrease = sum(entry.dk for entry in trace)
+        return ReductionResult(work, fed, k_decrease, trace)
 
 
 def lift_witness(trace: list[TraceEntry], witness: Iterable[int]) -> tuple[int, ...]:

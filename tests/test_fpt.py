@@ -453,6 +453,22 @@ def test_matches_oracle_at_fen_10_to_14():
         assert is_geodetic(g, res.witness)
 
 
+def test_matches_oracle_at_fen_15_to_18():
+    # where the guess stream's slow tail starts; all 20 draws reach
+    # guess-ilp, one of them streams 17 115 guesses, and the test takes
+    # about 7 s on a 2-CPU host
+    draws = random.Random(7)
+    for _ in range(20):
+        fen = draws.randint(15, 18)
+        g = random_fen_graph(draws.randint(22, 26), fen, draws)
+        oracle = min_geodetic_brute(g)
+        res = solve_fpt(g)
+        edges = list(g.edges())
+        assert (res.status, res.algorithm) == (OPTIMAL, "guess-ilp"), (g.n, edges)
+        assert res.optimum == oracle.size, (g.n, edges, oracle.size, res.optimum)
+        assert is_geodetic(g, res.witness)
+
+
 def test_budget_exhaustion_degrades_to_unknown():
     # its guesses need 5 search nodes in all; at one node a guess of size
     # 6 runs out of budget before one of size 7 is found feasible, so the

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import os
 import random
 import subprocess
@@ -20,6 +21,7 @@ from geodetic.graph import (
     GraphFormatError,
     _bfs_order,
     _chain_pair_max,
+    _gc_paused,
     connected_components,
     diameter,
     feedback_edge_number,
@@ -55,8 +57,8 @@ def test_graph_rejects_bad_edges():
         Graph(3, [(0, 3)])
     with pytest.raises(GraphError):
         Graph(3, [(1, 1)])
-    with pytest.raises(GraphError):
-        Graph(3, [(0, 1), (1, 0)])
+    with pytest.raises(GraphError, match=r"^duplicate edge \(1, 2\)$"):
+        Graph(3, [(2, 1), (1, 2)])
     with pytest.raises(GraphError):
         Graph(-1, [])
 
@@ -169,10 +171,12 @@ def test_interval_closure_matches_pairwise_intervals():
             edges.update(rng.sample(possible, k=extra))
         else:
             # usually disconnected: sparse random edges
-            edges = set(rng.sample(possible, k=rng.randrange(0, n + 1)))
+            k = rng.randrange(0, min(len(possible), n) + 1)
+            edges = set(rng.sample(possible, k=k))
         g = Graph(n, edges)
-        # sizes run from the empty set to the whole vertex set
-        size = (0, n, rng.randrange(n + 1))[trial % 3]
+        # sizes run from the empty set to the whole vertex set; with one or
+        # two members the closure sweeps from at most the smaller
+        size = min(n, (0, 1, 2, n, rng.randrange(n + 1))[trial % 5])
         chosen = rng.sample(range(n), k=size)
         want = _pairwise_closure(g, sorted(chosen))
         assert interval_closure(g, chosen) == want
@@ -526,20 +530,64 @@ def test_parse_and_format_round_trip():
 def test_parse_graph_accepts_comments():
     g = parse_graph("# a path\n3 2\n0 1\n# middle\n1 2\n")
     assert g == path_graph(3)
+    # blank lines, indented comments, tabs and CRLF line ends
+    g = parse_graph("\r\n# a path\r\n 3\t2 \r\n\r\n0 1\r\n   # middle\r\n\t1  2\r\n")
+    assert g == path_graph(3)
 
 
 def test_parse_graph_rejects_malformed():
-    for bad in [
-        "",
-        "3\n",
-        "3 2\n0 1\n",
-        "3 1\n1 0\n",
-        "3 1\n0 1 2\n",
-        "3 1\nx y\n",
-        "2 2\n0 1\n0 1\n",
+    # each message names the first fault, reading top to bottom: the
+    # header, then the edge-line count, then each edge line's form, then
+    # the graph's own checks on the edges in order
+    for bad, message in [
+        ("", "empty graph text"),
+        ("# only a comment\n\n  \n", "empty graph text"),
+        ("3\n", "bad header line: '3'"),
+        ("  3 2 1 \n", "bad header line: '3 2 1'"),
+        ("3 x\n", "bad header line: '3 x'"),
+        ("3 2\n0 1\n", "expected 2 edge lines, found 1"),
+        ("3 -1\n", "expected -1 edge lines, found 0"),
+        ("3 3\n0 1\nx\n", "expected 3 edge lines, found 2"),
+        ("3 1\n1 0\n", "edge line must satisfy u < v: '1 0'"),
+        ("3 1\n1 1\n", "edge line must satisfy u < v: '1 1'"),
+        ("3 1\n0 1 2\n", "bad edge line: '0 1 2'"),
+        ("3 1\n\t0 \n", "bad edge line: '0'"),
+        ("3 1\nx y\n", "bad edge line: 'x y'"),
+        ("3 2\r\n2 1\r\nx y\r\n", "edge line must satisfy u < v: '2 1'"),
+        ("4 2\n0 9\nx y\n", "bad edge line: 'x y'"),
+        ("2 2\n0 1\n0 1\n", "duplicate edge (0, 1)"),
+        ("3 1\n0 3\n", "edge (0, 3) out of range for n=3"),
+        ("3 1\n-1 2\n", "edge (-1, 2) out of range for n=3"),
+        ("3 2\n0 5\n0 5\n", "edge (0, 5) out of range for n=3"),
+        ("-1 0\n", "vertex count must be non-negative"),
     ]:
-        with pytest.raises(GraphFormatError):
+        with pytest.raises(GraphFormatError) as caught:
             parse_graph(bad)
+        assert type(caught.value) is GraphFormatError
+        assert str(caught.value) == message, bad
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_gc_pause_restores_the_collector_state(enabled):
+    """The pause turns the collector off inside and leaves it as it found
+    it, on or off, after a normal return and after an exception."""
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        with _gc_paused():
+            assert not gc.isenabled()
+        assert gc.isenabled() is enabled
+        with pytest.raises(KeyError):
+            with _gc_paused():
+                raise KeyError("inside the pause")
+        assert gc.isenabled() is enabled
+        assert parse_graph("2 1\n0 1\n") == path_graph(2)
+        assert gc.isenabled() is enabled
+        with pytest.raises(GraphFormatError):
+            parse_graph("2 1\n1 0\n")
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_format_sorted_regardless_of_input_order(rng: random.Random):

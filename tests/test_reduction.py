@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -11,7 +12,9 @@ from geodetic.graph import (
     Graph,
     VerificationError,
     feedback_edge_number,
+    format_graph,
     is_geodetic,
+    parse_graph,
     peel_pendant_trees,
 )
 from geodetic.oracle import min_geodetic_brute
@@ -602,3 +605,38 @@ def test_reduction_work_is_near_linear(monkeypatch, g: Graph):
     # a support is queued only once it holds two leaves, so few pops are stale
     twins = sum(entry.rule == "twin" for entry in result.trace)
     assert twin_pops <= twins + twin_initial
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_reading_and_reducing_leave_no_cyclic_garbage(seed):
+    """Graph reading and the reduction pause the collector, which is sound
+    only while they build no reference cycles: with the collector off, a
+    collection right after each finds nothing unreachable."""
+    rng = random.Random(seed)
+    text = format_graph(random_fen_graph(3000, rng.randint(2, 8), rng))
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        g = parse_graph(text)
+        assert gc.collect() == 0
+        assert reduce_to_fixpoint(g).trace
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_reduction_restores_the_collector_state(enabled):
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert reduce_to_fixpoint(dumbbell()).k_decrease >= 0
+        assert gc.isenabled() is enabled
+        # raised inside the pause
+        with pytest.raises(DisconnectedError):
+            reduce_to_fixpoint(Graph(4, [(0, 1), (2, 3)]))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
